@@ -73,16 +73,17 @@ fn main() {
     // Slab-kernel counters: how much candidate traffic the struct-of-arrays
     // layout moves (scanned = elements read by lane sweeps, pruned =
     // dominated elements dropped in those sweeps, bytes peak = high-water
-    // slab footprint), plus how many sibling subtrees the intra-net mode
-    // forks when 2 workers are requested. Machine-independent like the
-    // table above — these are the numbers behind `BENCH_kernel.json`.
+    // slab footprint), the bytes of predecessor records a tracked solve
+    // keeps for reconstructing placements, plus how many sibling subtrees
+    // the intra-net mode forks when 2 workers are requested.
+    // Machine-independent like the table above — these are the numbers
+    // behind `BENCH_kernel.json`.
     println!("\n# Slab kernel counters (Li-Shi, intra-net workers = 2)\n");
     let mut rows = Vec::new();
     for &b in &PAPER_LIB_SIZES {
         let lib = BufferLibrary::paper_synthetic(b).expect("b > 0");
         let stats = Solver::new(&tree, &lib)
             .algorithm(Algorithm::LiShi)
-            .track_predecessors(false)
             .kernel(Kernel::Slab)
             .intra_net_workers(2)
             .solve()
@@ -92,6 +93,7 @@ fn main() {
             format!("{:.2e}", stats.slab_candidates_scanned as f64),
             format!("{:.2e}", stats.slab_candidates_pruned as f64),
             format!("{:.1} KiB", stats.slab_bytes_peak as f64 / 1024.0),
+            format!("{:.1} KiB", stats.arena_bytes as f64 / 1024.0),
             stats.parallel_subtrees.to_string(),
         ]);
     }
@@ -101,6 +103,7 @@ fn main() {
             "slab scanned",
             "slab pruned",
             "slab bytes peak",
+            "arena bytes",
             "parallel subtrees",
         ],
         &rows,

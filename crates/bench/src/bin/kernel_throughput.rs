@@ -7,6 +7,9 @@
 //! * `reference@1` — the pre-refactor AoS kernel, single-threaded;
 //! * `slab@1` — the SoA slab kernel, single-threaded (the headline
 //!   kernel speedup is `slab@1` vs `reference@1`);
+//! * `slab@1+tracked` — `slab@1` with predecessor tracking on, as every
+//!   `Session` and served solve runs it: the gap to `slab@1` is the cost
+//!   of recording the records that rebuild the placements;
 //! * `slab@2`, `slab@4` — the slab kernel with 2 and 4 intra-net
 //!   workers solving sibling subtrees concurrently (bit-identical
 //!   results at every count; on a 1-thread machine these rows record
@@ -129,11 +132,13 @@ fn parse_args() -> Options {
     opts
 }
 
-/// One timed configuration: which kernel and how many intra-net workers.
+/// One timed configuration: which kernel, how many intra-net workers, and
+/// whether predecessors are tracked.
 struct Config {
     name: &'static str,
     kernel: Kernel,
     workers: usize,
+    tracked: bool,
 }
 
 /// Fastest-of-`repeats` time per config to solve every net in `nets` one
@@ -167,7 +172,7 @@ fn time_configs(
             for tree in nets {
                 let sol = Solver::new(tree, lib)
                     .algorithm(algo)
-                    .track_predecessors(false)
+                    .track_predecessors(cfg.tracked)
                     .kernel(cfg.kernel)
                     .intra_net_workers(cfg.workers)
                     .solve();
@@ -216,25 +221,35 @@ fn main() {
             name: "reference@1",
             kernel: Kernel::Reference,
             workers: 1,
+            tracked: false,
         },
         Config {
             name: "slab@1",
             kernel: Kernel::Slab,
             workers: 1,
+            tracked: false,
+        },
+        Config {
+            name: "slab@1+tracked",
+            kernel: Kernel::Slab,
+            workers: 1,
+            tracked: true,
         },
         Config {
             name: "slab@2",
             kernel: Kernel::Slab,
             workers: 2,
+            tracked: false,
         },
         Config {
             name: "slab@4",
             kernel: Kernel::Slab,
             workers: 4,
+            tracked: false,
         },
     ];
     let mut rows = Vec::new();
-    let mut measured: Vec<(&'static str, usize, f64, f64, Option<f64>)> = Vec::new();
+    let mut measured: Vec<(&Config, f64, f64, Option<f64>)> = Vec::new();
     let mut reference_secs = None;
     let mut reference_cpu = None;
     let timed = time_configs(&nets, &lib, &configs, opts.algo, opts.repeats);
@@ -257,7 +272,7 @@ fn main() {
             format!("{:.2}x", base / secs),
             cpu_ratio,
         ]);
-        measured.push((cfg.name, cfg.workers, secs, solves_per_sec, cpu_secs));
+        measured.push((cfg, secs, solves_per_sec, cpu_secs));
     }
     print_table(
         &[
@@ -283,8 +298,8 @@ fn main() {
     json.push_str(&format!("  \"seed\": {},\n", opts.seed));
     json.push_str(&format!("  \"repeats\": {},\n", opts.repeats));
     json.push_str("  \"runs\": [\n");
-    for (k, (name, workers, secs, sps, cpu)) in measured.iter().enumerate() {
-        let cpu_fields = match (measured[0].4, cpu) {
+    for (k, (cfg, secs, sps, cpu)) in measured.iter().enumerate() {
+        let cpu_fields = match (measured[0].3, cpu) {
             (Some(ref_cpu), Some(cpu)) => format!(
                 ", \"cpu_secs\": {:.6}, \"cpu_speedup_vs_reference\": {:.3}",
                 cpu,
@@ -293,13 +308,14 @@ fn main() {
             _ => String::new(),
         };
         json.push_str(&format!(
-            "    {{\"config\": \"{}\", \"intra_net_workers\": {}, \"secs\": {:.6}, \
-             \"solves_per_sec\": {:.2}, \"speedup_vs_reference\": {:.3}{}}}{}\n",
-            name,
-            workers,
+            "    {{\"config\": \"{}\", \"intra_net_workers\": {}, \"tracked\": {}, \
+             \"secs\": {:.6}, \"solves_per_sec\": {:.2}, \"speedup_vs_reference\": {:.3}{}}}{}\n",
+            cfg.name,
+            cfg.workers,
+            cfg.tracked,
             secs,
             sps,
-            measured[0].2 / secs,
+            measured[0].1 / secs,
             cpu_fields,
             if k + 1 < measured.len() { "," } else { "" }
         ));

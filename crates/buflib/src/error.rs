@@ -54,6 +54,14 @@ pub enum LibraryError {
         /// Available number of buffer types.
         available: usize,
     },
+    /// The library holds more buffer types than
+    /// [`MAX_LIBRARY_TYPES`](crate::MAX_LIBRARY_TYPES).
+    TooManyTypes {
+        /// Number of types given.
+        count: usize,
+        /// The limit.
+        max: usize,
+    },
 }
 
 impl fmt::Display for LibraryError {
@@ -88,6 +96,12 @@ impl fmt::Display for LibraryError {
                 write!(
                     f,
                     "cannot cluster {available} buffer types into {requested} clusters"
+                )
+            }
+            LibraryError::TooManyTypes { count, max } => {
+                write!(
+                    f,
+                    "buffer library has {count} types (at most {max} allowed)"
                 )
             }
         }

@@ -40,7 +40,35 @@ pub struct BufferLibrary {
     by_input_cap_asc: Vec<BufferTypeId>,
     /// `cap_rank[id] = position of id in by_input_cap_asc`.
     cap_rank: Vec<u32>,
+    /// Per-type DP parameters in `by_resistance_desc` order.
+    walk_params: Vec<TypeParams>,
+    /// Input capacitances (farads) in `by_input_cap_asc` order.
+    input_caps_asc: Vec<f64>,
 }
+
+/// One buffer type's parameters as the DP's `AddBuffer` walk reads them:
+/// plain `f64`s (no unit wrappers, no `Option`) plus the type's
+/// input-capacitance rank, precomputed once per library (the input
+/// capacitance itself is in [`BufferLibrary::input_caps_asc`] at that
+/// rank). See [`BufferLibrary::walk_params`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TypeParams {
+    /// The type's id.
+    pub id: BufferTypeId,
+    /// Driving resistance `R` in ohms.
+    pub r: f64,
+    /// Intrinsic delay `K` in seconds.
+    pub k: f64,
+    /// Load limit in farads (`f64::INFINITY` when unlimited).
+    pub max_load: f64,
+    /// Position of the type in [`BufferLibrary::by_input_cap_asc`].
+    pub cap_rank: u32,
+}
+
+/// Most buffer types a library may hold. Solution reconstruction records a
+/// buffer type in 16 bits per inserted buffer, and `2^16` is far beyond any
+/// cell library.
+pub const MAX_LIBRARY_TYPES: usize = 1 << 16;
 
 impl BufferLibrary {
     /// Creates a library from buffer types, validating every entry.
@@ -65,10 +93,18 @@ impl BufferLibrary {
             by_resistance_desc: Vec::new(),
             by_input_cap_asc: Vec::new(),
             cap_rank: Vec::new(),
+            walk_params: Vec::new(),
+            input_caps_asc: Vec::new(),
         }
     }
 
     fn build(buffers: Vec<BufferType>) -> Result<Self, LibraryError> {
+        if buffers.len() > MAX_LIBRARY_TYPES {
+            return Err(LibraryError::TooManyTypes {
+                count: buffers.len(),
+                max: MAX_LIBRARY_TYPES,
+            });
+        }
         for b in &buffers {
             let name = || b.name().to_owned();
             if !b.driving_resistance().is_finite() {
@@ -149,11 +185,30 @@ impl BufferLibrary {
         for (rank, id) in by_input_cap_asc.iter().enumerate() {
             cap_rank[id.index()] = rank as u32;
         }
+        let walk_params = by_resistance_desc
+            .iter()
+            .map(|&id| {
+                let b = &buffers[id.index()];
+                TypeParams {
+                    id,
+                    r: b.driving_resistance().value(),
+                    k: b.intrinsic_delay().value(),
+                    max_load: b.max_load().map_or(f64::INFINITY, |m| m.value()),
+                    cap_rank: cap_rank[id.index()],
+                }
+            })
+            .collect();
+        let input_caps_asc = by_input_cap_asc
+            .iter()
+            .map(|&id| buffers[id.index()].input_capacitance().value())
+            .collect();
         Ok(BufferLibrary {
             buffers,
             by_resistance_desc,
             by_input_cap_asc,
             cap_rank,
+            walk_params,
+            input_caps_asc,
         })
     }
 
@@ -263,6 +318,21 @@ impl BufferLibrary {
     #[inline]
     pub fn by_input_cap_asc(&self) -> &[BufferTypeId] {
         &self.by_input_cap_asc
+    }
+
+    /// Every type's [`TypeParams`], in [`BufferLibrary::by_resistance_desc`]
+    /// order — the order of the hull walk (Lemma 1).
+    #[inline]
+    pub fn walk_params(&self) -> &[TypeParams] {
+        &self.walk_params
+    }
+
+    /// Input capacitances in farads, in [`BufferLibrary::by_input_cap_asc`]
+    /// order (so non-decreasing): entry `r` belongs to the type of
+    /// [`BufferLibrary::cap_rank`] `r`.
+    #[inline]
+    pub fn input_caps_asc(&self) -> &[f64] {
+        &self.input_caps_asc
     }
 
     /// Rank of `id` in the non-decreasing input-capacitance order.
@@ -535,6 +605,78 @@ mod tests {
         assert!((strongest.input_capacitance().femtos() - 23.0).abs() < 1e-9);
         assert!((weakest.intrinsic_delay().picos() - 29.0).abs() < 1e-9);
         assert!((strongest.intrinsic_delay().picos() - 36.4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn precomputed_tables_mirror_the_typed_accessors() {
+        let lib = BufferLibrary::new(vec![
+            BufferType::new(
+                "a",
+                Ohms::new(300.0),
+                Farads::new(2e-15),
+                Seconds::new(3e-11),
+            )
+            .with_max_load(Farads::new(5e-14)),
+            BufferType::new(
+                "b",
+                Ohms::new(900.0),
+                Farads::new(1e-15),
+                Seconds::new(2e-11),
+            ),
+            BufferType::new(
+                "c",
+                Ohms::new(300.0),
+                Farads::new(1e-15),
+                Seconds::new(4e-11),
+            ),
+        ])
+        .unwrap();
+        let params = lib.walk_params();
+        assert_eq!(params.len(), lib.len());
+        for (row, &id) in params.iter().zip(lib.by_resistance_desc()) {
+            let b = lib.get(id);
+            assert_eq!(row.id, id);
+            assert_eq!(row.r.to_bits(), b.driving_resistance().value().to_bits());
+            assert_eq!(row.k.to_bits(), b.intrinsic_delay().value().to_bits());
+            let max_load = b.max_load().map_or(f64::INFINITY, |m| m.value());
+            assert_eq!(row.max_load.to_bits(), max_load.to_bits());
+            assert_eq!(row.cap_rank as usize, lib.cap_rank(id));
+        }
+        for (&c, &id) in lib.input_caps_asc().iter().zip(lib.by_input_cap_asc()) {
+            assert_eq!(
+                c.to_bits(),
+                lib.get(id).input_capacitance().value().to_bits()
+            );
+        }
+        assert!(BufferLibrary::empty().walk_params().is_empty());
+        assert!(BufferLibrary::empty().input_caps_asc().is_empty());
+    }
+
+    #[test]
+    fn libraries_beyond_the_type_limit_are_rejected() {
+        let many = |n: usize| {
+            (0..n)
+                .map(|i| {
+                    BufferType::new(
+                        format!("b{i}"),
+                        Ohms::new(100.0),
+                        Farads::new(1e-15),
+                        Seconds::ZERO,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            BufferLibrary::new(many(MAX_LIBRARY_TYPES + 1)),
+            Err(LibraryError::TooManyTypes {
+                count: MAX_LIBRARY_TYPES + 1,
+                max: MAX_LIBRARY_TYPES,
+            })
+        );
+        assert_eq!(
+            BufferLibrary::new(many(MAX_LIBRARY_TYPES)).map(|l| l.len()),
+            Ok(MAX_LIBRARY_TYPES)
+        );
     }
 
     #[test]

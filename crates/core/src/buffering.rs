@@ -27,7 +27,7 @@ use crate::arena::{PredArena, PredEntry, PredRef};
 use crate::candidate::{push_pruned_c_order, Candidate, CandidateList};
 use crate::hull::{convex_prune_in_place, upper_hull_cols, upper_hull_into};
 use crate::pool::CandidatePool;
-use crate::slab::{CandidateSlab, SlabList, SlabView};
+use crate::slab::{BetaColumns, CandidateSlab, SlabList, SlabView};
 use crate::slew::SlewPolicy;
 use crate::stats::SolveStats;
 
@@ -107,13 +107,94 @@ impl std::fmt::Display for Algorithm {
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     hull: Vec<u32>,
-    /// Best buffered candidate per library type index, or `None`.
-    pub(crate) beta_slots: Vec<Option<Candidate>>,
+    /// Reference kernel: best buffered candidate per library type index,
+    /// or `None`.
+    beta_slots: Vec<Option<Candidate>>,
+    /// Reference kernel: the pruned β in emission order.
     betas: Vec<Candidate>,
+    /// Slab kernel: the β of the current `AddBuffer` by capacitance rank.
+    pub(crate) ranked: RankedBetas,
+    /// Slab kernel: the pruned β in emission order.
+    slab_betas: BetaColumns,
     /// Freelist of candidate vectors shared by every list-producing DP
     /// operation of the owning solve (and, through
     /// [`SolveWorkspace`](crate::SolveWorkspace), across solves).
     pub(crate) pool: CandidatePool,
+}
+
+/// The β of one slab-kernel `AddBuffer` as dense columns indexed by the
+/// type's input-capacitance rank ([`BufferLibrary::cap_rank`]). The α
+/// search fills it in walk order without touching the predecessor arena;
+/// [`RankedBetas::drain`] then reads it in rank order, which yields the β
+/// already sorted by `c` (Theorem 2) with no per-type `Option` slots and
+/// no sort. A β's `c` and buffer type are the library's at that rank, so
+/// only `q` and the chain are stored.
+#[derive(Debug, Default)]
+pub(crate) struct RankedBetas {
+    q: Vec<f64>,
+    /// The α's predecessor (the β's downstream chain); [`RankedBetas::drain`]
+    /// replaces it with the β's own reference.
+    pred: Vec<PredRef>,
+    /// `true` where a β was generated at this rank.
+    set: Vec<bool>,
+}
+
+impl RankedBetas {
+    /// Sizes the columns for a library of `b` types, all ranks empty.
+    fn reset(&mut self, b: usize) {
+        self.q.resize(b, 0.0);
+        self.pred.resize(b, PredRef::NONE);
+        self.set.clear();
+        self.set.resize(b, false);
+    }
+
+    #[inline]
+    fn put(&mut self, rank: usize, q: f64, prev: PredRef) {
+        self.q[rank] = q;
+        self.pred[rank] = prev;
+        self.set[rank] = true;
+    }
+
+    /// Takes every β in rank order (non-decreasing `c`): records it in
+    /// `arena` as a buffer at `node` when `track` is set — one β block per
+    /// call — and hands `(rank, q, c, pred)` to `emit`. Leaves every rank
+    /// empty.
+    pub(crate) fn drain(
+        &mut self,
+        lib: &BufferLibrary,
+        node: NodeId,
+        arena: &mut PredArena,
+        track: bool,
+        mut emit: impl FnMut(usize, f64, f64, PredRef),
+    ) {
+        if track {
+            // Record first, in its own pass, turning each α's chain into
+            // the β's own reference in place. Untracked, every chain is
+            // already `PredRef::NONE`, which is what an untracked β carries.
+            let slots = self
+                .set
+                .iter()
+                .zip(lib.by_input_cap_asc())
+                .zip(&mut self.pred);
+            for ((&set, &buffer), pred) in slots {
+                if set {
+                    *pred = arena.push_beta(node, buffer, *pred);
+                }
+            }
+        }
+        let slots = self
+            .set
+            .iter()
+            .zip(&self.q)
+            .zip(lib.input_caps_asc())
+            .zip(&self.pred);
+        for (rank, (((&set, &q), &c), &pred)) in slots.enumerate() {
+            if set {
+                emit(rank, q, c, pred);
+            }
+        }
+        self.set.fill(false);
+    }
 }
 
 /// Per-buffer-type parameters hoisted out of the walk loops, with the
@@ -371,10 +452,12 @@ fn find_alphas_walk(
 }
 
 /// [`add_buffers`] over the struct-of-arrays kernel: identical algorithm on
-/// a [`SlabList`]. The β generation (library order, per-type best
-/// candidate, dominance pruning among betas, counters) replicates the
-/// reference expression by expression; only the final insertion uses
-/// [`CandidateSlab::merge_insert`] instead of the pooled AoS merge.
+/// a [`SlabList`]. The α search (library order, per-type best candidate,
+/// counters) replicates the reference expression by expression; the β
+/// then travel as columns — by capacitance rank out of the α search,
+/// recorded in the arena as one block and pruned among themselves in rank
+/// order by [`RankedBetas::drain`], and merged into the list by
+/// [`CandidateSlab::merge_insert`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn add_buffers_slab(
     algo: Algorithm,
@@ -392,24 +475,25 @@ pub(crate) fn add_buffers_slab(
     stats: &mut SolveStats,
 ) {
     if !find_betas_slab(
-        algo, slab, list, lib, constraint, node, variation, price, arena, track, scratch, slew,
-        stats,
+        algo, slab, list, lib, constraint, variation, price, scratch, slew, stats,
     ) {
         return;
     }
-    scratch.betas.clear();
-    for &id in lib.by_input_cap_asc() {
-        if let Some(beta) = scratch.beta_slots[id.index()].take() {
-            push_pruned_c_order(&mut scratch.betas, beta);
-        }
-    }
-    stats.betas_generated += scratch.betas.len() as u64;
-    slab.merge_insert(list, &scratch.betas);
+    let Scratch {
+        ranked, slab_betas, ..
+    } = scratch;
+    slab_betas.clear();
+    ranked.drain(lib, node, arena, track, |_, q, c, pred| {
+        slab_betas.push_pruned(q, c, pred)
+    });
+    stats.betas_generated += slab_betas.len() as u64;
+    slab.merge_insert(list, slab_betas);
 }
 
-/// [`find_betas`] over the slab: fills `scratch.beta_slots` from the
-/// columns of `list`. [`Algorithm::LiShiPermanent`] convex-prunes the slab
-/// list in place via [`CandidateSlab::convex_prune`].
+/// [`find_betas`] over the slab: fills `scratch.ranked` from the columns
+/// of `list`, for the caller to [drain](RankedBetas::drain).
+/// [`Algorithm::LiShiPermanent`] convex-prunes the slab list in place via
+/// [`CandidateSlab::convex_prune`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn find_betas_slab(
     algo: Algorithm,
@@ -417,11 +501,8 @@ pub(crate) fn find_betas_slab(
     list: SlabList,
     lib: &BufferLibrary,
     constraint: &SiteConstraint,
-    node: NodeId,
     variation: SiteVariation,
     price: f64,
-    arena: &mut PredArena,
-    track: bool,
     scratch: &mut Scratch,
     slew: &SlewPolicy,
     stats: &mut SolveStats,
@@ -430,94 +511,55 @@ pub(crate) fn find_betas_slab(
         return false;
     }
     stats.addbuffer_ops += 1;
-    scratch.beta_slots.clear();
-    scratch.beta_slots.resize(lib.len(), None);
+    scratch.ranked.reset(lib.len());
 
     match algo {
         Algorithm::Lillis => {
-            find_alphas_scan_slab(
-                slab.view(list),
-                lib,
-                constraint,
-                node,
-                variation,
-                price,
-                arena,
-                track,
-                scratch,
-                slew,
-                stats,
-            );
+            let ranked = &mut scratch.ranked;
+            let view = slab.view(list);
+            find_alphas_scan_slab(view, lib, constraint, variation, price, ranked, slew, stats);
         }
         Algorithm::LiShi => {
+            let view = slab.view(list);
             if slew.active() {
-                find_alphas_scan_slab(
-                    slab.view(list),
-                    lib,
-                    constraint,
-                    node,
-                    variation,
-                    price,
-                    arena,
-                    track,
-                    scratch,
-                    slew,
-                    stats,
-                );
+                let ranked = &mut scratch.ranked;
+                find_alphas_scan_slab(view, lib, constraint, variation, price, ranked, slew, stats);
             } else {
-                let view = slab.view(list);
                 upper_hull_cols(view.q, view.c, &mut scratch.hull);
                 stats.hull_builds += 1;
                 stats.hull_input_candidates += view.len() as u64;
-                find_alphas_walk_slab(
-                    view, lib, constraint, node, variation, price, arena, track, scratch, stats,
-                );
+                find_alphas_walk_slab(view, lib, constraint, variation, price, scratch, stats);
             }
         }
         Algorithm::LiShiPermanent => {
             stats.convex_pruned += slab.convex_prune(list) as u64;
+            let view = slab.view(list);
             if slew.active() {
-                find_alphas_scan_slab(
-                    slab.view(list),
-                    lib,
-                    constraint,
-                    node,
-                    variation,
-                    price,
-                    arena,
-                    track,
-                    scratch,
-                    slew,
-                    stats,
-                );
+                let ranked = &mut scratch.ranked;
+                find_alphas_scan_slab(view, lib, constraint, variation, price, ranked, slew, stats);
             } else {
-                let view = slab.view(list);
                 stats.hull_builds += 1;
                 stats.hull_input_candidates += view.len() as u64;
                 scratch.hull.clear();
                 scratch.hull.extend(0..view.len() as u32);
-                find_alphas_walk_slab(
-                    view, lib, constraint, node, variation, price, arena, track, scratch, stats,
-                );
+                find_alphas_walk_slab(view, lib, constraint, variation, price, scratch, stats);
             }
         }
     }
     true
 }
 
-/// [`find_alphas_scan`] over slab columns — same per-type scans, same
-/// early-exit and feasibility checks, same counters.
+/// [`find_alphas_scan`] over slab columns — same per-type scans in the same
+/// (library) order, same early-exit and feasibility checks, same counters,
+/// and the same `β_i` expression as [`make_beta`].
 #[allow(clippy::too_many_arguments)]
 fn find_alphas_scan_slab(
     view: SlabView<'_>,
     lib: &BufferLibrary,
     constraint: &SiteConstraint,
-    node: NodeId,
     variation: SiteVariation,
     price: f64,
-    arena: &mut PredArena,
-    track: bool,
-    scratch: &mut Scratch,
+    ranked: &mut RankedBetas,
     slew: &SlewPolicy,
     stats: &mut SolveStats,
 ) {
@@ -527,7 +569,7 @@ fn find_alphas_scan_slab(
         if !constraint.allows(id) {
             continue;
         }
-        let (r, k, c_in, max_load) = params(lib, id, variation);
+        let (r, k, _, max_load) = params(lib, id, variation);
         let slew_cap = slew.type_cap(id);
         let mut best: Option<usize> = None;
         let mut visits = 0u64;
@@ -550,47 +592,45 @@ fn find_alphas_scan_slab(
         }
         stats.scan_candidate_visits += visits;
         if let Some(i) = best {
-            let alpha = view.get(i);
-            scratch.beta_slots[id.index()] =
-                Some(make_beta(&alpha, id, r, k, c_in, price, node, arena, track));
+            let q = qs[i] - k - r * cs[i] - price;
+            ranked.put(lib.cap_rank(id), q, view.pred[i]);
         }
     }
 }
 
 /// [`find_alphas_walk`] over slab columns: the same monotone hull walk with
-/// the same load-limited exact-scan fallback.
-#[allow(clippy::too_many_arguments)]
+/// the same load-limited exact-scan fallback and the same `β_i` expression
+/// as [`make_beta`], reading each type's parameters from the library's
+/// precomputed [`BufferLibrary::walk_params`] table.
 fn find_alphas_walk_slab(
     view: SlabView<'_>,
     lib: &BufferLibrary,
     constraint: &SiteConstraint,
-    node: NodeId,
     variation: SiteVariation,
     price: f64,
-    arena: &mut PredArena,
-    track: bool,
     scratch: &mut Scratch,
     stats: &mut SolveStats,
 ) {
-    let Scratch {
-        hull, beta_slots, ..
-    } = scratch;
+    let Scratch { hull, ranked, .. } = scratch;
     let hull = &hull[..];
     let n = view.len();
     let (qs, cs) = (&view.q[..n], &view.c[..n]);
+    // Same scaling as `params`: both factors apply to every type at this
+    // node, so the table's resistance order stays the Lemma 1 order.
+    let (drive, delay) = (variation.drive_scale(), variation.delay_scale());
     let mut ptr = 0usize;
     let mut walk_steps = 0u64;
-    for &id in lib.by_resistance_desc() {
-        if !constraint.allows(id) {
+    for p in lib.walk_params() {
+        if !constraint.allows(p.id) {
             continue;
         }
-        let (r, k, c_in, max_load) = params(lib, id, variation);
-        let alpha = if max_load.is_finite() {
+        let (r, k) = (p.r * drive, p.k * delay);
+        let alpha = if p.max_load.is_finite() {
             // Exact constrained scan (rare path).
             let mut best: Option<usize> = None;
             for i in 0..n {
                 stats.scan_candidate_visits += 1;
-                if cs[i] > max_load {
+                if cs[i] > p.max_load {
                     break;
                 }
                 if best.is_none_or(|b| qs[i] - r * cs[i] > qs[b] - r * cs[b]) {
@@ -598,7 +638,7 @@ fn find_alphas_walk_slab(
                 }
             }
             match best {
-                Some(i) => view.get(i),
+                Some(i) => i,
                 None => continue, // no candidate satisfies the load limit
             }
         } else {
@@ -619,9 +659,10 @@ fn find_alphas_walk_slab(
                     break;
                 }
             }
-            view.get(hull[ptr] as usize)
+            hull[ptr] as usize
         };
-        beta_slots[id.index()] = Some(make_beta(&alpha, id, r, k, c_in, price, node, arena, track));
+        let q = qs[alpha] - k - r * cs[alpha] - price;
+        ranked.put(p.cap_rank as usize, q, view.pred[alpha]);
     }
     stats.hull_walk_steps += walk_steps;
 }

@@ -58,7 +58,7 @@ use fastbuf_rctree::delay::ElmoreModel;
 use crate::arena::PredArena;
 use crate::buffering::{find_betas_slab, Algorithm, Scratch};
 use crate::candidate::{Candidate, CandidateList};
-use crate::slab::{CandidateSlab, SlabList};
+use crate::slab::{BetaColumns, CandidateSlab, SlabList};
 use crate::slew::SlewPolicy;
 use crate::solution::Placement;
 use crate::stats::SolveStats;
@@ -196,6 +196,7 @@ impl<'a> CostSolver<'a> {
         let mut arena = PredArena::new();
         let mut scratch = Scratch::default();
         let mut slab = CandidateSlab::default();
+        let mut group_betas = BetaColumns::default();
         // Per node, one slab handle per cost level; `None` is an empty
         // level (most levels are), so no columns are allocated for them.
         let mut levels: Vec<Option<Vec<Option<SlabList>>>> = vec![None; tree.node_count()];
@@ -246,25 +247,27 @@ impl<'a> CostSolver<'a> {
                                 level,
                                 lib,
                                 tree.site_constraint(node),
-                                node,
                                 tree.site_variation(node),
                                 prices.map_or(0.0, |p| p.get(node.index()).copied().unwrap_or(0.0)),
-                                &mut arena,
-                                true,
                                 &mut scratch,
                                 &SlewPolicy::unlimited(),
                                 &mut stats,
                             ) {
                                 continue;
                             }
-                            for (id, _) in lib.iter() {
-                                if let Some(beta) = scratch.beta_slots[id.index()].take() {
-                                    let target = w + costs[id.index()];
+                            let by_rank = lib.by_input_cap_asc();
+                            scratch.ranked.drain(
+                                lib,
+                                node,
+                                &mut arena,
+                                true,
+                                |rank, q, c, pred| {
+                                    let target = w + costs[by_rank[rank].index()];
                                     if target <= w_max {
-                                        pending[target].push(beta);
+                                        pending[target].push(Candidate::new(q, c, pred));
                                     }
-                                }
-                            }
+                                },
+                            );
                         }
                         for (w, group) in pending.into_iter().enumerate() {
                             if group.is_empty() {
@@ -273,7 +276,13 @@ impl<'a> CostSolver<'a> {
                             stats.betas_generated += group.len() as u64;
                             let sorted = CandidateList::from_candidates(group);
                             match lv[w] {
-                                Some(list) => slab.merge_insert(list, sorted.as_slice()),
+                                Some(list) => {
+                                    group_betas.clear();
+                                    for b in sorted.iter() {
+                                        group_betas.push_pruned(b.q, b.c, b.pred);
+                                    }
+                                    slab.merge_insert(list, &group_betas);
+                                }
                                 None => lv[w] = Some(slab.load_list(&sorted)),
                             }
                         }
@@ -317,6 +326,7 @@ impl<'a> CostSolver<'a> {
             }
         }
         stats.arena_entries = arena.len();
+        stats.arena_bytes = arena.bytes();
         stats.slab_bytes_peak = slab.peak_bytes();
         stats.elapsed = start.elapsed();
         Ok(CostFrontier { points, stats })

@@ -431,6 +431,9 @@ impl<'a> Solver<'a> {
             }
             None => {
                 ws_arena.clear();
+                if track {
+                    ws_arena.reserve_betas(tree.buffer_site_count(), lib.len());
+                }
                 (None, &mut *ws_arena)
             }
         };
@@ -599,6 +602,7 @@ impl<'a> Solver<'a> {
             Vec::new()
         };
         stats.arena_entries = arena.len();
+        stats.arena_bytes = arena.bytes();
         stats.elapsed = start.elapsed();
 
         Solution {
@@ -646,6 +650,9 @@ impl<'a> Solver<'a> {
             }
             None => {
                 ws_arena.clear();
+                if track {
+                    ws_arena.reserve_betas(tree.buffer_site_count(), lib.len());
+                }
                 (None, &mut *ws_arena)
             }
         };
@@ -767,6 +774,7 @@ impl<'a> Solver<'a> {
             Vec::new()
         };
         stats.arena_entries = arena.len();
+        stats.arena_bytes = arena.bytes();
         stats.slab_bytes_peak = stats.slab_bytes_peak.max(slab.peak_bytes());
         stats.elapsed = start.elapsed();
 
@@ -1020,6 +1028,10 @@ fn solve_subtrees_parallel(
                     let (p, sz) = (pos[troot.index()], size[troot.index()]);
                     let range = &post[p + 1 - sz..=p];
                     let mut task_arena = PredArena::new();
+                    if ctx.track {
+                        let sites = range.iter().filter(|&&n| ctx.tree.is_buffer_site(n));
+                        task_arena.reserve_betas(sites.count(), ctx.lib.len());
+                    }
                     let mut task_stats = SolveStats::default();
                     slab.reset();
                     slab_process_nodes(
@@ -1048,7 +1060,7 @@ fn solve_subtrees_parallel(
     });
 
     // Join in task-root topology order: splice each private arena onto the
-    // shared one (uniform backward-reference shift — see
+    // shared one (a backward-reference shift per record space — see
     // `PredArena::append_remapped`), remap the boundary list's refs, and
     // load it into the slab for the main pass to consume.
     for (ti, &troot) in task_roots.iter().enumerate() {
@@ -1057,11 +1069,11 @@ fn solve_subtrees_parallel(
             .expect("task slot lock")
             .take()
             .expect("every task completed");
-        let offset = arena.append_remapped(&result.arena);
+        let remap = arena.append_remapped(&result.arena);
         let mut list = result.list;
         if ctx.track {
             for cand in list.as_mut_vec() {
-                cand.pred = cand.pred.offset_by(offset);
+                cand.pred = remap.apply(cand.pred);
             }
         }
         slab_lists[troot.index()] = Some(slab.load_list(&list));

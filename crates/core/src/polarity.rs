@@ -57,8 +57,7 @@ use fastbuf_rctree::delay::ElmoreModel;
 
 use crate::arena::PredArena;
 use crate::buffering::{find_betas_slab, Algorithm, Scratch};
-use crate::candidate::{push_pruned_c_order, Candidate};
-use crate::slab::{CandidateSlab, SlabList};
+use crate::slab::{BetaColumns, CandidateSlab, SlabList};
 use crate::slew::SlewPolicy;
 use crate::solution::Placement;
 use crate::stats::SolveStats;
@@ -266,34 +265,6 @@ fn merge_polarized(
     slab.merge(left, right, arena, true, f64::INFINITY, stats)
 }
 
-/// Merges two c-sorted beta groups into one nonredundant c-sorted vector.
-fn merge_sorted_betas(a: Vec<Candidate>, b: Vec<Candidate>) -> Vec<Candidate> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) => x.c < y.c || (x.c == y.c && x.q >= y.q),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let cand = if take_a {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
-        };
-        push_pruned_c_order(&mut out, cand);
-    }
-    out
-}
-
 /// Per-node DP state: one nonredundant slab list per required arriving
 /// polarity.
 #[derive(Clone, Copy, Debug)]
@@ -493,6 +464,7 @@ impl<'a> PolaritySolver<'a> {
             .filter(|p| lib.get(p.buffer).is_inverting())
             .count();
         stats.arena_entries = arena.len();
+        stats.arena_bytes = arena.bytes();
         stats.slab_bytes_peak = slab.peak_bytes();
         stats.elapsed = start.elapsed();
         Ok(PolaritySolution {
@@ -519,7 +491,7 @@ impl<'a> PolaritySolver<'a> {
         let constraint = self.tree.site_constraint(node);
         // Betas destined for each target list, one c-sorted group per
         // (source list, target list) combination.
-        let mut groups: [[Vec<Candidate>; 2]; 2] = Default::default();
+        let mut groups: [[BetaColumns; 2]; 2] = Default::default();
 
         for (si, source_positive) in [true, false].into_iter().enumerate() {
             let source = if source_positive {
@@ -533,30 +505,28 @@ impl<'a> PolaritySolver<'a> {
                 source,
                 lib,
                 constraint,
-                node,
                 self.tree.site_variation(node),
                 0.0,
-                arena,
-                true,
                 scratch,
                 &SlewPolicy::unlimited(),
                 stats,
             ) {
                 continue;
             }
-            for &id in lib.by_input_cap_asc() {
-                if let Some(beta) = scratch.beta_slots[id.index()].take() {
-                    // An inverter feeding a positive-requiring subtree needs
-                    // a negative arriving signal, and vice versa.
-                    let target_positive = source_positive ^ lib.get(id).is_inverting();
-                    let out = &mut groups[si][if target_positive { 0 } else { 1 }];
-                    push_pruned_c_order(out, beta);
-                }
-            }
+            let by_rank = lib.by_input_cap_asc();
+            scratch
+                .ranked
+                .drain(lib, node, arena, true, |rank, q, c, pred| {
+                    // An inverter feeding a positive-requiring subtree needs a
+                    // negative arriving signal, and vice versa.
+                    let target_positive = source_positive ^ lib.get(by_rank[rank]).is_inverting();
+                    groups[si][if target_positive { 0 } else { 1 }].push_pruned(q, c, pred);
+                });
         }
-        let [[pos_a, neg_a], [pos_b, neg_b]] = groups;
-        let to_pos = merge_sorted_betas(pos_a, pos_b);
-        let to_neg = merge_sorted_betas(neg_a, neg_b);
+        let [[pos_a, neg_a], [pos_b, neg_b]] = &groups;
+        let (mut to_pos, mut to_neg) = (BetaColumns::default(), BetaColumns::default());
+        to_pos.merge_sorted(pos_a, pos_b);
+        to_neg.merge_sorted(neg_a, neg_b);
         stats.betas_generated += (to_pos.len() + to_neg.len()) as u64;
         slab.merge_insert(state.pos, &to_pos);
         slab.merge_insert(state.neg, &to_neg);

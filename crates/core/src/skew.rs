@@ -740,6 +740,7 @@ impl<'a> SkewSolver<'a> {
             Vec::new()
         };
         stats.arena_entries = arena.len();
+        stats.arena_bytes = arena.bytes();
         stats.elapsed = start.elapsed();
 
         let driver_delay = dk + dr * best.c;

@@ -29,7 +29,7 @@
 
 use fastbuf_rctree::delay::DelayModel;
 
-use crate::arena::{PredArena, PredEntry, PredRef};
+use crate::arena::{PredArena, PredRef};
 use crate::candidate::{Candidate, CandidateList};
 use crate::hull::prunes_middle_vals;
 use crate::stats::SolveStats;
@@ -76,6 +76,77 @@ impl SlabView<'_> {
             c: self.c[i],
             s: self.s[i],
             pred: self.pred[i],
+        }
+    }
+}
+
+/// The pruned `β_i` of one `AddBuffer` as columns, in strictly increasing
+/// `c` order: the incoming side of [`CandidateSlab::merge_insert`]. A β
+/// starts a fresh stage at the buffer input, so its stage delay is always
+/// `0.0` and there is no `s` column.
+#[derive(Debug, Default)]
+pub(crate) struct BetaColumns {
+    q: Vec<f64>,
+    c: Vec<f64>,
+    pred: Vec<PredRef>,
+}
+
+impl BetaColumns {
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.q.len()
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.q.is_empty()
+    }
+
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.q.clear();
+        self.c.clear();
+        self.pred.clear();
+    }
+
+    /// Column replica of `candidate::push_pruned_c_order` for a β: drops
+    /// it when the last β has no smaller `q`, replaces the last β on equal
+    /// `c`. Requires `c` at least the last β's.
+    #[inline]
+    pub(crate) fn push_pruned(&mut self, q: f64, c: f64, pred: PredRef) {
+        if let Some(last) = self.q.len().checked_sub(1) {
+            debug_assert!(c >= self.c[last], "push_pruned requires c-sorted input");
+            if q <= self.q[last] {
+                return; // dominated: no better slack at no smaller load
+            }
+            if c == self.c[last] {
+                self.q[last] = q;
+                self.c[last] = c;
+                self.pred[last] = pred;
+                return;
+            }
+        }
+        self.q.push(q);
+        self.c.push(c);
+        self.pred.push(pred);
+    }
+
+    /// Replaces `self` with the nonredundant union of two c-sorted groups:
+    /// the two-pointer walk takes `a` first on equal `c` when its `q` is at
+    /// least `b`'s, and every element goes through
+    /// [`BetaColumns::push_pruned`].
+    pub(crate) fn merge_sorted(&mut self, a: &BetaColumns, b: &BetaColumns) {
+        self.clear();
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let take_a = if i < a.len() && j < b.len() {
+                a.c[i] < b.c[j] || (a.c[i] == b.c[j] && a.q[i] >= b.q[j])
+            } else {
+                i < a.len()
+            };
+            let (side, k) = if take_a { (a, &mut i) } else { (b, &mut j) };
+            self.push_pruned(side.q[*k], side.c[*k], side.pred[*k]);
+            *k += 1;
         }
     }
 }
@@ -458,7 +529,7 @@ impl CandidateSlab {
     /// Consumes `left` and `right` (their handles are freed) and returns
     /// the merged list: the same two-pointer walk, the same monotone-stack
     /// prune, the same final slew prune, pushing the same
-    /// [`PredEntry::Merge`] records in the same order.
+    /// [`PredEntry::Merge`](crate::PredEntry::Merge) records in the same order.
     pub(crate) fn merge(
         &mut self,
         left: SlabList,
@@ -545,10 +616,7 @@ impl CandidateSlab {
                 let c = lc[i] + rc[j];
                 let s = ls[i].max(rs[j]);
                 let pred = if track {
-                    arena.push(PredEntry::Merge {
-                        left: lp[i],
-                        right: rp[j],
-                    })
+                    arena.push_merge(lp[i], rp[j])
                 } else {
                     PredRef::NONE
                 };
@@ -572,10 +640,7 @@ impl CandidateSlab {
                             // cost more than they save there.
                             for x in i..end {
                                 let pred = if track {
-                                    arena.push(PredEntry::Merge {
-                                        left: lp[x],
-                                        right: pj,
-                                    })
+                                    arena.push_merge(lp[x], pj)
                                 } else {
                                     PredRef::NONE
                                 };
@@ -589,8 +654,7 @@ impl CandidateSlab {
                             raw.s.extend(ls[i..end].iter().map(|&x| x.max(sj)));
                             if track {
                                 for &p in &lp[i..end] {
-                                    raw.pred
-                                        .push(arena.push(PredEntry::Merge { left: p, right: pj }));
+                                    raw.pred.push(arena.push_merge(p, pj));
                                 }
                             } else {
                                 raw.pred.resize(raw.pred.len() + (end - i), PredRef::NONE);
@@ -608,10 +672,7 @@ impl CandidateSlab {
                         if end - j <= 8 {
                             for x in j..end {
                                 let pred = if track {
-                                    arena.push(PredEntry::Merge {
-                                        left: pi,
-                                        right: rp[x],
-                                    })
+                                    arena.push_merge(pi, rp[x])
                                 } else {
                                     PredRef::NONE
                                 };
@@ -625,8 +686,7 @@ impl CandidateSlab {
                             raw.s.extend(rs[j..end].iter().map(|&x| si.max(x)));
                             if track {
                                 for &p in &rp[j..end] {
-                                    raw.pred
-                                        .push(arena.push(PredEntry::Merge { left: pi, right: p }));
+                                    raw.pred.push(arena.push_merge(pi, p));
                                 }
                             } else {
                                 raw.pred.resize(raw.pred.len() + (end - j), PredRef::NONE);
@@ -802,15 +862,17 @@ impl CandidateSlab {
         n - write
     }
 
-    /// Merges `incoming` (sorted by strictly increasing `C` — the `β_i` of
-    /// `AddBuffer`) into `list` — the column replica of
+    /// Merges `incoming` (the pruned `β_i` of `AddBuffer`, strictly
+    /// increasing in `C`) into `list` — the column replica of
     /// `CandidateList::merge_insert`, including the equal-`c`
     /// better-`q`-first tie rule.
-    pub(crate) fn merge_insert(&mut self, list: SlabList, incoming: &[Candidate]) {
+    pub(crate) fn merge_insert(&mut self, list: SlabList, incoming: &BetaColumns) {
         if incoming.is_empty() {
             return;
         }
-        debug_assert!(incoming.windows(2).all(|w| w[0].c < w[1].c));
+        debug_assert!(incoming.c.windows(2).all(|w| w[0] < w[1]));
+        let n = incoming.len();
+        let (bq, bc, bp) = (&incoming.q[..n], &incoming.c[..n], &incoming.pred[..n]);
         let mut top = 0usize;
         let tail_start;
         {
@@ -832,27 +894,25 @@ impl CandidateSlab {
                 // saves; replicate the reference's element-wise walk (every
                 // element through `push_pruned_c_order`, old side first on
                 // equal c) and splice the whole rebuilt list back.
-                while i < old.len() || j < incoming.len() {
-                    let take_old = match incoming.get(j) {
-                        Some(b) if i < old.len() => {
-                            let (ac, bc) = (old.c[i], b.c);
-                            if ac < bc {
-                                true
-                            } else if ac > bc {
-                                false
-                            } else {
-                                old.q[i] >= b.q
-                            }
+                while i < old.len() || j < bq.len() {
+                    let take_old = if j < bq.len() && i < old.len() {
+                        let (ac, bcj) = (old.c[i], bc[j]);
+                        if ac < bcj {
+                            true
+                        } else if ac > bcj {
+                            false
+                        } else {
+                            old.q[i] >= bq[j]
                         }
-                        _ => i < old.len(),
+                    } else {
+                        i < old.len()
                     };
                     if take_old {
                         top =
                             out.push_pruned_c_order(top, old.q[i], old.c[i], old.s[i], old.pred[i]);
                         i += 1;
                     } else {
-                        let b = &incoming[j];
-                        top = out.push_pruned_c_order(top, b.q, b.c, b.s, b.pred);
+                        top = out.push_pruned_c_order(top, bq[j], bc[j], 0.0, bp[j]);
                         j += 1;
                     }
                 }
@@ -882,13 +942,16 @@ impl CandidateSlab {
     fn merge_insert_runs(
         out: &mut Columns,
         old: &Columns,
-        incoming: &[Candidate],
+        incoming: &BetaColumns,
         top: &mut usize,
     ) -> usize {
+        let n = incoming.len();
+        let (bq_lane, bc_lane) = (&incoming.q[..n], &incoming.c[..n]);
+        let bp_lane = &incoming.pred[..n];
         let (mut i, mut j) = (0usize, 0usize);
         let mut t = *top;
         loop {
-            let Some(b) = incoming.get(j) else {
+            if j == n {
                 // All betas placed: skip old elements dominated by the
                 // new top; the remaining tail is shared verbatim.
                 if t > 0 {
@@ -896,24 +959,25 @@ impl CandidateSlab {
                     i = run_split(&old.q, i, old.len(), |x| x <= tq);
                 }
                 break;
-            };
+            }
+            let (bq, bc) = (bq_lane[j], bc_lane[j]);
             let take_old = if i < old.len() {
                 // On equal c, feed the better-q one first; the other is
                 // then dropped by push_pruned_c_order.
-                let (ac, bc) = (old.c[i], b.c);
+                let ac = old.c[i];
                 if ac < bc {
                     true
                 } else if ac > bc {
                     false
                 } else {
-                    old.q[i] >= b.q
+                    old.q[i] >= bq
                 }
             } else {
                 false
             };
             if take_old {
-                let n = run_split(&old.c, i + 1, old.len(), |x| x < b.c);
-                let end = if n < old.len() && old.c[n] == b.c && old.q[n] >= b.q {
+                let n = run_split(&old.c, i + 1, old.len(), |x| x < bc);
+                let end = if n < old.len() && old.c[n] == bc && old.q[n] >= bq {
                     n + 1 // equal c, better q: still old's turn
                 } else {
                     n
@@ -927,7 +991,7 @@ impl CandidateSlab {
                 t = out.write_run(t, old, start, end);
                 i = end;
             } else {
-                t = out.push_pruned_c_order(t, b.q, b.c, b.s, b.pred);
+                t = out.push_pruned_c_order(t, bq, bc, 0.0, bp_lane[j]);
                 j += 1;
             }
         }
@@ -1024,6 +1088,16 @@ mod tests {
         list(&pts)
     }
 
+    /// The β columns of a nonredundant candidate sequence.
+    fn beta_cols(cands: &[Candidate]) -> BetaColumns {
+        let mut cols = BetaColumns::default();
+        for b in cands {
+            cols.push_pruned(b.q, b.c, b.pred);
+        }
+        assert_eq!(cols.len(), cands.len(), "input must be nonredundant");
+        cols
+    }
+
     fn bits(l: &CandidateList) -> Vec<(u64, u64, u64)> {
         l.iter()
             .map(|c| (c.q.to_bits(), c.c.to_bits(), c.s.to_bits()))
@@ -1083,13 +1157,14 @@ mod tests {
 
     #[test]
     fn merge_insert_matches_reference_bits() {
-        for seed in 1u64..20 {
-            let mut reference = staircase(seed, 10);
+        // Both the short-list walk and the run-based walk (> 48 elements).
+        for seed in 1u64..40 {
+            let mut reference = staircase(seed, if seed % 2 == 0 { 10 } else { 120 });
             let betas: Vec<Candidate> = staircase(seed ^ 0xABCD, 5).iter().copied().collect();
             let mut slab = CandidateSlab::default();
             let h = slab.load_list(&reference);
             reference.merge_insert(&betas);
-            slab.merge_insert(h, &betas);
+            slab.merge_insert(h, &beta_cols(&betas));
             assert_eq!(
                 bits(&slab.to_candidate_list(h)),
                 bits(&reference),
@@ -1306,6 +1381,7 @@ mod tests {
         for k in [16usize, 64, 256, 1024] {
             let src = staircase(42, k);
             let betas: Vec<Candidate> = staircase(9, 12).iter().copied().collect();
+            let slab_betas = beta_cols(&betas);
             let right = staircase(77, k);
             let mut pool = CandidatePool::default();
             let mut slab = CandidateSlab::default();
@@ -1377,7 +1453,7 @@ mod tests {
                 |n| {
                     for _ in 0..n {
                         let h = slab.load_list(&src);
-                        slab.merge_insert(h, &betas);
+                        slab.merge_insert(h, &slab_betas);
                         slab.free(h);
                     }
                 },

@@ -65,6 +65,10 @@ pub struct SolveStats {
     pub root_list_len: usize,
     /// Entries recorded in the predecessor arena (0 when tracking is off).
     pub arena_entries: usize,
+    /// Bytes held by those entries at the end of the solve (block headers,
+    /// β records and merge pairs; spare capacity excluded — see
+    /// [`PredArena::bytes`](crate::PredArena::bytes)).
+    pub arena_bytes: usize,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
 }
@@ -83,9 +87,9 @@ impl SolveStats {
 
     /// Folds the counters of a parallel shard (one subtree task of
     /// intra-net parallel solving) into this total: additive counters sum,
-    /// high-water marks take the maximum. `elapsed`, `root_list_len`, and
-    /// `arena_entries` are whole-solve quantities the coordinator sets at
-    /// the end and are left untouched.
+    /// high-water marks take the maximum. `elapsed`, `root_list_len`,
+    /// `arena_entries` and `arena_bytes` are whole-solve quantities the
+    /// coordinator sets at the end and are left untouched.
     pub fn merge_shard(&mut self, shard: &SolveStats) {
         self.wire_ops += shard.wire_ops;
         self.merge_ops += shard.merge_ops;
@@ -111,7 +115,7 @@ impl fmt::Display for SolveStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ops: wire={} merge={} addbuf={} | addbuf work: scans={} hull_in={} walk={} betas={} | lists: max={} root={} | pruned={} slew_pruned={} arena={} | eco: recomputed={} reused={} | slab: scanned={} pruned={} peak_bytes={} par_subtrees={} | {:?}",
+            "ops: wire={} merge={} addbuf={} | addbuf work: scans={} hull_in={} walk={} betas={} | lists: max={} root={} | pruned={} slew_pruned={} arena={} arena_bytes={} | eco: recomputed={} reused={} | slab: scanned={} pruned={} peak_bytes={} par_subtrees={} | {:?}",
             self.wire_ops,
             self.merge_ops,
             self.addbuffer_ops,
@@ -124,6 +128,7 @@ impl fmt::Display for SolveStats {
             self.convex_pruned,
             self.slew_pruned,
             self.arena_entries,
+            self.arena_bytes,
             self.nodes_recomputed,
             self.nodes_reused,
             self.slab_candidates_scanned,
@@ -156,5 +161,24 @@ mod tests {
         let s = SolveStats::default().to_string();
         assert!(s.contains("wire=0"));
         assert!(s.contains("max=0"));
+        assert!(s.contains("arena_bytes=0"));
+    }
+
+    #[test]
+    fn merge_shard_leaves_whole_solve_quantities() {
+        let mut total = SolveStats {
+            arena_entries: 7,
+            arena_bytes: 56,
+            ..SolveStats::default()
+        };
+        let shard = SolveStats {
+            wire_ops: 3,
+            arena_entries: 5,
+            arena_bytes: 40,
+            ..SolveStats::default()
+        };
+        total.merge_shard(&shard);
+        assert_eq!(total.wire_ops, 3);
+        assert_eq!((total.arena_entries, total.arena_bytes), (7, 56));
     }
 }

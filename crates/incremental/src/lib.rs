@@ -138,7 +138,9 @@ fn same_price_bits(a: &[f64], b: &[f64]) -> bool {
 /// and rebases it. The arena is append-only while any cached list
 /// references it, so long edit sequences grow it; a flush trades one full
 /// re-solve for reclaiming the memory. Results are unaffected — a flush
-/// only changes what gets recomputed.
+/// only changes what gets recomputed. Each record takes at most 8 bytes
+/// (plus an 8-byte header per block of β at one node), so the bound is
+/// about 16 MiB.
 const ARENA_ENTRY_LIMIT: usize = 1 << 21;
 
 /// An owning incremental solver: one routing tree, one buffer library, one

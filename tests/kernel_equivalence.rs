@@ -157,6 +157,98 @@ proptest! {
     }
 }
 
+/// `net` with every buffer site restricted to a pseudo-random, nonempty
+/// subset of the library's types (`SiteConstraint::Subset`).
+fn with_subset_sites(
+    mut tree: fastbuf::rctree::RoutingTree,
+    lib_b: usize,
+    seed: u64,
+) -> fastbuf::rctree::RoutingTree {
+    use fastbuf::buflib::{BufferSet, BufferTypeId};
+    use std::sync::Arc;
+    let sites: Vec<NodeId> = tree
+        .postorder()
+        .iter()
+        .copied()
+        .filter(|&n| tree.is_buffer_site(n))
+        .collect();
+    let mut state = seed | 1;
+    for node in sites {
+        let mut allowed = BufferSet::empty(lib_b);
+        for ty in 0..lib_b {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if !(state >> 33).is_multiple_of(3) {
+                allowed.insert(BufferTypeId::new(ty));
+            }
+        }
+        // Keep one type so every site stays a site.
+        allowed.insert(BufferTypeId::new(node.index() % lib_b));
+        tree.set_site_constraint(node, SiteConstraint::Subset(Arc::new(allowed)))
+            .expect("buffer sites are internal nodes");
+    }
+    tree
+}
+
+/// The paper library with a load limit on every `stride`-th type, so those
+/// types take the walk's exact-scan fallback and may emit no β at all.
+fn load_limited_library(b: usize, stride: usize, limit_ff: f64) -> BufferLibrary {
+    let base = BufferLibrary::paper_synthetic(b).expect("b > 0");
+    BufferLibrary::new(
+        base.iter()
+            .map(|(id, ty)| {
+                if id.index() % stride == 0 {
+                    ty.clone().with_max_load(Farads::from_femto(limit_ff))
+                } else {
+                    ty.clone()
+                }
+            })
+            .collect(),
+    )
+    .expect("valid library")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Sites that allow only a subset of the library and types with load
+    /// limits make `AddBuffer` skip types, so its β blocks have gaps and
+    /// vary in length from site to site. The slab kernel at 1, 2 and 4
+    /// intra-net workers must still match the reference bit for bit,
+    /// placements included, and record as many predecessor entries, in as
+    /// many bytes, at every worker count.
+    #[test]
+    fn subset_sites_and_load_limits_stay_bit_identical(
+        sinks in 2usize..40,
+        net_seed in 0u64..500,
+        site_seed in 0u64..1000,
+        lib_b in 2usize..12,
+        stride in 1usize..4,
+        limit_ff in 15.0f64..200.0,
+        algo_idx in 0usize..3,
+        slew_sel in 0u32..2,
+    ) {
+        let tree = with_subset_sites(net(sinks, net_seed, 180.0), lib_b, site_seed);
+        let lib = load_limited_library(lib_b, stride, limit_ff);
+        let algo = Algorithm::ALL[algo_idx];
+        let slew = (slew_sel == 1).then(|| Seconds::from_pico(320.0));
+
+        let reference = Solver::new(&tree, &lib)
+            .with_options(options(algo, slew, Kernel::Reference, 1))
+            .solve();
+        for workers in [1usize, 2, 4] {
+            let slab = Solver::new(&tree, &lib)
+                .with_options(options(algo, slew, Kernel::Slab, workers))
+                .solve();
+            let context = format!("(slab@{workers}, {algo}, slew {slew:?})");
+            assert_identical(&slab, &reference, &context);
+            prop_assert_eq!(slab.stats.arena_entries, reference.stats.arena_entries);
+            prop_assert_eq!(slab.stats.arena_bytes, reference.stats.arena_bytes);
+        }
+    }
+}
+
 /// Deterministic heavy case kept outside proptest so `--nocapture` runs
 /// show a stable, quotable count: a 24-net suite × 3 algorithms × slew
 /// on/off × slab at {1, 2, 4} workers, every configuration compared
