@@ -215,11 +215,10 @@ impl<'a> SolveRequest<'a> {
     pub fn solve(&self) -> Result<Outcome, SolveError> {
         let start = Instant::now();
         let scenarios = self.checked_scenarios()?;
-        let requested_workers = self.workers.map(NonZeroUsize::get).unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+        let requested_workers = self
+            .workers
+            .map(NonZeroUsize::get)
+            .unwrap_or_else(fastbuf_core::available_threads);
 
         // Yield-target requests parallelize across *samples*, not
         // scenarios: each scenario runs its whole Monte-Carlo sweep with

@@ -160,11 +160,7 @@ impl<'a> BatchSolver<'a> {
             .options
             .workers
             .map(NonZeroUsize::get)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
+            .unwrap_or_else(fastbuf_core::available_threads)
             .clamp(1, nets.len().max(1));
 
         // Largest-first dispatch order (ties broken by index, so the

@@ -74,7 +74,8 @@ fn main() {
     // layout moves (scanned = elements read by lane sweeps, pruned =
     // dominated elements dropped in those sweeps, bytes peak = high-water
     // slab footprint), the bytes of predecessor records a tracked solve
-    // keeps for reconstructing placements, plus how many sibling subtrees
+    // records for reconstructing placements and the most of them it holds
+    // at once (collections drop dead records), plus how many sibling subtrees
     // the intra-net mode forks when 2 workers are requested.
     // Machine-independent like the table above — these are the numbers
     // behind `BENCH_kernel.json`.
@@ -94,6 +95,7 @@ fn main() {
             format!("{:.2e}", stats.slab_candidates_pruned as f64),
             format!("{:.1} KiB", stats.slab_bytes_peak as f64 / 1024.0),
             format!("{:.1} KiB", stats.arena_bytes as f64 / 1024.0),
+            format!("{:.1} KiB", stats.arena_peak_bytes as f64 / 1024.0),
             stats.parallel_subtrees.to_string(),
         ]);
     }
@@ -104,6 +106,7 @@ fn main() {
             "slab pruned",
             "slab bytes peak",
             "arena bytes",
+            "arena peak",
             "parallel subtrees",
         ],
         &rows,

@@ -102,9 +102,7 @@ fn main() {
     let nets = suite.build();
     let lib = BufferLibrary::paper_synthetic(16).expect("nonzero library");
     let total_sites: usize = nets.iter().map(|t| t.buffer_site_count()).sum();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = fastbuf_core::available_threads();
     println!(
         "# batch throughput: {} nets, {} total buffer positions, {} hardware threads\n",
         nets.len(),

@@ -285,9 +285,7 @@ fn main() {
     server_thread.join().expect("server thread");
     std::fs::remove_dir_all(&dir).ok();
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = fastbuf_core::available_threads();
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"hw_threads\": {},\n",

@@ -102,9 +102,7 @@ impl HarnessOptions {
 /// 1-thread container and a 32-thread workstation produce very different
 /// scaling rows). Falls back to 1 when the OS cannot say.
 pub fn hw_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    fastbuf_core::available_threads()
 }
 
 /// Nanoseconds the calling thread has spent on-CPU

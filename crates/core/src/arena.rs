@@ -1,13 +1,14 @@
 //! Predecessor tracking for solution reconstruction.
 //!
-//! Every candidate carries a 4-byte [`PredRef`] into an append-only arena.
-//! The DP only ever *adds* decisions (a buffer inserted at a node, or two
-//! branch solutions merged), so the arena records form a DAG whose leaves
-//! are sinks. After the root candidate is chosen, walking its predecessor
-//! DAG yields the buffer placements in O(solution size).
+//! Every candidate carries a 4-byte [`PredRef`] into an arena. The DP only
+//! ever *adds* decisions (a buffer inserted at a node, or two branch
+//! solutions merged), so the arena records form a DAG whose leaves are
+//! sinks and whose references all point backward, at older records. After
+//! the root candidate is chosen, walking its predecessor DAG yields the
+//! buffer placements in O(solution size).
 //!
-//! The records live in two append-only spaces, selected by the top bit of
-//! the [`PredRef`] (the *tag bit*):
+//! The records live in two spaces, selected by the top bit of the
+//! [`PredRef`] (the *tag bit*):
 //!
 //! * the **β space** (tag set) holds the buffered candidates of every
 //!   `AddBuffer`. Records are packed in *blocks*, one per run of β at the
@@ -21,6 +22,17 @@
 //! [`PredEntry`] is the decoded view of one record, whichever space it
 //! lives in; [`PredArena::push`] and [`PredArena::get`] speak only that
 //! view, so callers never see the packing.
+//!
+//! **Collection.** Almost every record is dead one node after it is
+//! written: `AddBuffer` emits b β per position, and the next position's
+//! pruning displaces nearly all of them. A scratch solve therefore runs a
+//! copying collection between nodes ([`PredCollector`]): the records
+//! reachable from the live candidate lists are evacuated to a to-space in
+//! post-order, so every reference still points backward, and the lists'
+//! references are rewritten. Arenas that are never collected (a
+//! [`SubtreeCache`](crate::SubtreeCache)'s, the reference kernel's, the
+//! cost, polarity and skew solvers') are append-only, and their
+//! references stay valid until [`PredArena::clear`].
 //!
 //! Tracking can be disabled (see
 //! [`SolverOptions::track_predecessors`](crate::SolverOptions)) for
@@ -175,8 +187,31 @@ impl PredRemap {
     }
 }
 
-/// Append-only arena of reconstruction decisions (see the module docs for
-/// the two record spaces).
+/// Records an arena holds before its first collection is due: nets that
+/// record fewer (every served and batch net) never collect.
+const COLLECT_FLOOR: usize = 1 << 16;
+
+/// Totals as of the last collection since [`PredArena::clear`], so the
+/// recorded counts survive collections: what was recorded up to it, plus
+/// what the arena has held beyond what it kept.
+#[derive(Clone, Copy, Debug, Default)]
+struct Collected {
+    /// Entries recorded up to the last collection.
+    entries: usize,
+    /// Bytes of those entries, as they were recorded.
+    bytes: usize,
+    /// Entries the last collection kept (already counted in `entries`).
+    kept: usize,
+    /// Bytes of the kept entries (already counted in `bytes`). A kept
+    /// β block can split in two, so this may exceed what the same records
+    /// took as recorded.
+    kept_bytes: usize,
+    /// Most bytes held at once before a collection.
+    peak_bytes: usize,
+}
+
+/// Arena of reconstruction decisions (see the module docs for the two
+/// record spaces and for collection).
 #[derive(Clone, Debug, Default)]
 pub struct PredArena {
     /// One header per β block, in ascending `start` order.
@@ -187,6 +222,7 @@ pub struct PredArena {
     betas: Vec<BetaRecord>,
     /// `(left, right)` of each merge record.
     merges: Vec<[PredRef; 2]>,
+    collected: Collected,
 }
 
 impl PredArena {
@@ -243,17 +279,38 @@ impl PredArena {
         r
     }
 
-    /// Number of entries (β and merge records together).
+    /// Number of entries held (β and merge records together).
     pub fn len(&self) -> usize {
         self.betas.len() + self.merges.len()
     }
 
-    /// Bytes held by the recorded entries: block headers, β records and
-    /// merge pairs (spare capacity is not counted).
+    /// Bytes of the entries held: block headers, β records and merge
+    /// pairs (spare capacity is not counted).
     pub fn bytes(&self) -> usize {
         self.blocks.len() * size_of::<BetaBlock>()
             + self.betas.len() * size_of::<BetaRecord>()
             + self.merges.len() * size_of::<[PredRef; 2]>()
+    }
+
+    /// Entries recorded since the last [`PredArena::clear`], including
+    /// those collections have since dropped ([`PredArena::len`] when the
+    /// arena was never collected).
+    pub(crate) fn recorded_len(&self) -> usize {
+        self.collected.entries + (self.len() - self.collected.kept)
+    }
+
+    /// Bytes of every entry recorded since the last [`PredArena::clear`],
+    /// as they were recorded ([`PredArena::bytes`] when the arena was
+    /// never collected).
+    pub(crate) fn recorded_bytes(&self) -> usize {
+        self.collected.bytes + (self.bytes() - self.collected.kept_bytes)
+    }
+
+    /// Most bytes the arena held at once since the last
+    /// [`PredArena::clear`] ([`PredArena::bytes`] when it was never
+    /// collected).
+    pub(crate) fn peak_bytes(&self) -> usize {
+        self.collected.peak_bytes.max(self.bytes())
     }
 
     /// Removes all entries while keeping the allocation, so the arena can be
@@ -264,21 +321,28 @@ impl PredArena {
         self.blocks.clear();
         self.betas.clear();
         self.merges.clear();
+        self.collected = Collected::default();
+    }
+
+    /// `true` once the arena holds more than max(2^16, 2 × the survivors
+    /// of its last collection) entries: the point where a collection
+    /// frees at least half of what it scans.
+    #[inline]
+    pub(crate) fn collection_due(&self) -> bool {
+        self.len() > COLLECT_FLOOR.max(2 * self.collected.kept)
+    }
+
+    /// The node of β record `index`: that of the last block starting at or
+    /// before it.
+    #[inline]
+    fn beta_node(&self, index: usize) -> NodeId {
+        let block = self.blocks.partition_point(|b| b.start as usize <= index) - 1;
+        self.blocks[block].node
     }
 
     /// `true` if no entries have been recorded.
     pub fn is_empty(&self) -> bool {
         self.betas.is_empty() && self.merges.is_empty()
-    }
-
-    /// Makes room, exactly, for `blocks` more β blocks of at most
-    /// `per_block` records each: a solve knows its bound (one block per
-    /// buffer site, at most one β per library type) and sizes the β space
-    /// once, so its memory high-water mark does not depend on `Vec`
-    /// doubling.
-    pub(crate) fn reserve_betas(&mut self, blocks: usize, per_block: usize) {
-        self.blocks.reserve_exact(blocks);
-        self.betas.reserve_exact(blocks * per_block);
     }
 
     /// Resolves a reference (`None` for [`PredRef::NONE`] or a reference
@@ -287,11 +351,8 @@ impl PredArena {
         match r.slot()? {
             Slot::Beta(i) => {
                 let record = *self.betas.get(i)?;
-                // The block holding record `i` is the last one starting at
-                // or before it.
-                let block = self.blocks.partition_point(|b| b.start as usize <= i) - 1;
                 Some(PredEntry::Buffer {
-                    node: self.blocks[block].node,
+                    node: self.beta_node(i),
                     buffer: BufferTypeId::new(usize::from(record.buffer)),
                     prev: record.prev,
                 })
@@ -310,13 +371,22 @@ impl PredArena {
     /// resolve them here.
     ///
     /// Each space shifts by its own length, so the relocation depends on
-    /// the tag of the reference. Sound because arenas are append-only: a
-    /// record's references always point at records appended before it, so
-    /// a per-space shift preserves the DAG. This is the join step of
-    /// intra-net parallel solving — each subtree task records decisions in
-    /// a private arena, and the main thread splices them in deterministic
-    /// (topology) order.
+    /// the tag of the reference. Sound because a record's references
+    /// always point at records before it — appends keep that, and so does
+    /// a collection, which copies in post-order — so a per-space shift
+    /// preserves the DAG. This is the join step of intra-net parallel
+    /// solving — each subtree task records decisions in a private arena,
+    /// and the main thread splices them in deterministic (topology) order.
+    /// What `other`'s collections dropped counts as recorded here too, so
+    /// [`PredArena::recorded_len`] and [`PredArena::recorded_bytes`] sum
+    /// over the join.
     pub(crate) fn append_remapped(&mut self, other: &PredArena) -> PredRemap {
+        // The appended records count as recorded and as kept, so the
+        // recorded totals gain exactly `other`'s.
+        self.collected.entries += other.recorded_len();
+        self.collected.bytes += other.recorded_bytes();
+        self.collected.kept += other.len();
+        self.collected.kept_bytes += other.bytes();
         let remap = PredRemap {
             beta: self.betas.len(),
             merge: self.merges.len(),
@@ -366,6 +436,140 @@ impl PredArena {
         }
         out.sort_by_key(|&(n, b)| (n, b));
         out
+    }
+}
+
+/// Copying collector for a [`PredArena`]: the to-space, mark bits and walk
+/// stack of [`PredCollector::collect`], kept between collections (one per
+/// [`SolveWorkspace`](crate::SolveWorkspace) or per intra-net worker) so a
+/// warm collector allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct PredCollector {
+    /// Where survivors are copied before being copied back over the
+    /// collected arena's records: the arena keeps its one allocation, and
+    /// this one only ever grows to the most survivors of a collection.
+    to: PredArena,
+    /// One bit per β record of the from-space, set once the record is
+    /// copied; its `prev` then holds its to-space reference.
+    beta_moved: Vec<u64>,
+    /// The same for merge records, whose `left` holds the reference.
+    merge_moved: Vec<u64>,
+    /// Pending records of the post-order walk.
+    stack: Vec<PredRef>,
+}
+
+#[inline]
+fn is_marked(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] & (1 << (i % 64)) != 0
+}
+
+#[inline]
+fn mark(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Sizes `bits` for `len` records, none marked.
+fn reset_marks(bits: &mut Vec<u64>, len: usize) {
+    bits.clear();
+    bits.resize(len.div_ceil(64), 0);
+}
+
+impl PredCollector {
+    /// Keeps only the records of `arena` reachable from `roots`, and
+    /// rewrites every root to its record's new reference
+    /// ([`PredRef::NONE`] stays `NONE`). Every reference issued before is
+    /// invalidated, except through the rewritten roots.
+    ///
+    /// Survivors are copied in post-order — a record after everything it
+    /// references — so references still point backward and
+    /// [`PredArena::append_remapped`] stays valid; β blocks are rebuilt,
+    /// one per run of copied β at one node. The recorded totals
+    /// ([`PredArena::recorded_len`], [`PredArena::recorded_bytes`]) are
+    /// unchanged, and [`PredArena::peak_bytes`] keeps the size before.
+    pub(crate) fn collect<'a>(
+        &mut self,
+        arena: &mut PredArena,
+        roots: impl IntoIterator<Item = &'a mut PredRef>,
+    ) {
+        self.to.clear();
+        reset_marks(&mut self.beta_moved, arena.betas.len());
+        reset_marks(&mut self.merge_moved, arena.merges.len());
+        for root in roots {
+            *root = self.evacuate(arena, *root);
+        }
+        let (entries, bytes) = (arena.recorded_len(), arena.recorded_bytes());
+        let peak_bytes = arena.peak_bytes();
+        arena.blocks.clear();
+        arena.blocks.extend_from_slice(&self.to.blocks);
+        arena.betas.clear();
+        arena.betas.extend_from_slice(&self.to.betas);
+        arena.merges.clear();
+        arena.merges.extend_from_slice(&self.to.merges);
+        arena.collected = Collected {
+            entries,
+            bytes,
+            kept: arena.len(),
+            kept_bytes: arena.bytes(),
+            peak_bytes,
+        };
+    }
+
+    /// The to-space reference of `r`, once it has one.
+    #[inline]
+    fn forwarded(&self, from: &PredArena, r: PredRef) -> Option<PredRef> {
+        match r.slot() {
+            None => Some(PredRef::NONE),
+            Some(Slot::Beta(i)) => is_marked(&self.beta_moved, i).then(|| from.betas[i].prev),
+            Some(Slot::Merge(i)) => is_marked(&self.merge_moved, i).then(|| from.merges[i][0]),
+        }
+    }
+
+    /// Copies `root` and everything it reaches that is not copied yet into
+    /// the to-space, each record after its predecessors, and returns the
+    /// new reference of `root`. A copied record of `from` is overwritten
+    /// with its forwarding reference.
+    fn evacuate(&mut self, from: &mut PredArena, root: PredRef) -> PredRef {
+        if let Some(r) = self.forwarded(from, root) {
+            return r;
+        }
+        self.stack.push(root);
+        while let Some(&r) = self.stack.last() {
+            if self.forwarded(from, r).is_some() {
+                // Reached twice through shared structure; copied already.
+                self.stack.pop();
+                continue;
+            }
+            match r.slot() {
+                Some(Slot::Beta(i)) => {
+                    let record = from.betas[i];
+                    match self.forwarded(from, record.prev) {
+                        Some(prev) => {
+                            let node = from.beta_node(i);
+                            let buffer = BufferTypeId::new(usize::from(record.buffer));
+                            from.betas[i].prev = self.to.push_beta(node, buffer, prev);
+                            mark(&mut self.beta_moved, i);
+                            self.stack.pop();
+                        }
+                        None => self.stack.push(record.prev),
+                    }
+                }
+                Some(Slot::Merge(i)) => {
+                    let [left, right] = from.merges[i];
+                    match (self.forwarded(from, left), self.forwarded(from, right)) {
+                        (Some(l), Some(r)) => {
+                            from.merges[i][0] = self.to.push_merge(l, r);
+                            mark(&mut self.merge_moved, i);
+                            self.stack.pop();
+                        }
+                        (None, _) => self.stack.push(left),
+                        (Some(_), None) => self.stack.push(right),
+                    }
+                }
+                None => unreachable!("NONE is always forwarded"),
+            }
+        }
+        self.forwarded(from, root)
+            .expect("the walk copied its root")
     }
 }
 
@@ -575,5 +779,219 @@ mod tests {
     fn collect_from_none_is_empty() {
         let arena = PredArena::new();
         assert!(arena.collect_placements(PredRef::NONE).is_empty());
+    }
+
+    /// Deterministic stand-in for a DP's record stream over `nodes` nodes,
+    /// keeping a stack of branch candidate lists like a postorder pass: a
+    /// node either opens a branch at a sink or merges the top two branches
+    /// pairwise; then it emits a β block of up to `b` records off the top
+    /// branch and keeps at most four of its candidates (the rest are
+    /// displaced, as pruning displaces β). Merged branches are disjoint,
+    /// so every candidate's chain is a tree. `between` runs after each
+    /// node with the arena and the live refs, like a collection trigger
+    /// between nodes. Returns the live refs at the end.
+    fn dp_history(
+        arena: &mut PredArena,
+        seed: u64,
+        nodes: usize,
+        b: usize,
+        mut between: impl FnMut(&mut PredArena, &mut Vec<Vec<PredRef>>),
+    ) -> Vec<PredRef> {
+        let mut state = seed | 1;
+        let mut rnd = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let mut branches = vec![vec![PredRef::NONE]];
+        for node in 0..nodes {
+            if rnd(4) == 0 {
+                branches.push(vec![PredRef::NONE]);
+            } else if branches.len() >= 2 && rnd(2) == 0 {
+                let right = branches.pop().expect("two branches");
+                let left = branches.pop().expect("two branches");
+                let (mut i, mut j, mut merged) = (0, 0, Vec::new());
+                while i < left.len() && j < right.len() {
+                    merged.push(arena.push(PredEntry::Merge {
+                        left: left[i],
+                        right: right[j],
+                    }));
+                    if rnd(2) == 0 {
+                        i += 1;
+                    } else {
+                        j += 1;
+                    }
+                }
+                branches.push(merged);
+            }
+            let top = branches.last_mut().expect("a branch is open");
+            let fresh: Vec<_> = (0..1 + rnd(b))
+                .map(|ty| arena.push(buffer(node, ty, top[rnd(top.len())])))
+                .collect();
+            top.extend(fresh);
+            while top.len() > 4 {
+                top.remove(rnd(top.len()));
+            }
+            between(arena, &mut branches);
+        }
+        branches.concat()
+    }
+
+    /// Every record reachable from `roots`.
+    fn reachable(arena: &PredArena, roots: &[PredRef]) -> std::collections::HashSet<PredRef> {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = roots.to_vec();
+        while let Some(r) = stack.pop() {
+            if r.is_none() || !seen.insert(r) {
+                continue;
+            }
+            match arena.get(r).expect("reachable refs resolve") {
+                PredEntry::Buffer { prev, .. } => stack.push(prev),
+                PredEntry::Merge { left, right } => stack.extend([left, right]),
+            }
+        }
+        seen
+    }
+
+    /// Every reference in the arena resolves and points at an older
+    /// record of its space.
+    fn assert_backward(arena: &PredArena) {
+        let older = |r: PredRef, beta: Option<usize>, merge: Option<usize>| match r.slot() {
+            None => {}
+            Some(Slot::Beta(j)) => {
+                assert!(j < arena.betas.len(), "dangling β ref {j}");
+                assert!(beta.is_none_or(|i| j < i), "β ref {j} not backward");
+            }
+            Some(Slot::Merge(j)) => {
+                assert!(j < arena.merges.len(), "dangling merge ref {j}");
+                assert!(merge.is_none_or(|i| j < i), "merge ref {j} not backward");
+            }
+        };
+        for (i, record) in arena.betas.iter().enumerate() {
+            older(record.prev, Some(i), None);
+        }
+        for (i, &[left, right]) in arena.merges.iter().enumerate() {
+            older(left, None, Some(i));
+            older(right, None, Some(i));
+        }
+    }
+
+    #[test]
+    fn collection_keeps_exactly_what_the_roots_reach() {
+        for seed in 0..8 {
+            let mut arena = PredArena::new();
+            let live = dp_history(&mut arena, seed, 60, 9, |_, _| {});
+            let mut roots = live.clone();
+            roots.push(PredRef::NONE);
+            let want: Vec<_> = roots.iter().map(|&r| arena.collect_placements(r)).collect();
+            let survivors = reachable(&arena, &roots).len();
+            let (recorded, recorded_bytes) = (arena.len(), arena.bytes());
+            assert!(
+                survivors < recorded,
+                "seed {seed}: history displaces records"
+            );
+
+            PredCollector::default().collect(&mut arena, roots.iter_mut());
+            assert_eq!(
+                arena.len(),
+                survivors,
+                "seed {seed}: unreachable records are gone"
+            );
+            assert_eq!(reachable(&arena, &roots).len(), survivors);
+            assert_eq!(roots.last(), Some(&PredRef::NONE));
+            for (root, want) in roots.iter().zip(&want) {
+                assert_eq!(&arena.collect_placements(*root), want, "seed {seed}");
+            }
+            assert_backward(&arena);
+            assert_eq!(arena.recorded_len(), recorded);
+            assert_eq!(arena.recorded_bytes(), recorded_bytes);
+            assert_eq!(arena.peak_bytes(), recorded_bytes);
+        }
+    }
+
+    /// Collected refs still point backward, so a collected arena splices
+    /// onto another with `append_remapped`; the receiving arena's recorded
+    /// totals gain the appended arena's, collected records included.
+    #[test]
+    fn append_remapped_after_a_collection_resolves() {
+        let mut main = PredArena::new();
+        let a = main.push(buffer(100, 0, PredRef::NONE));
+        main.push(PredEntry::Merge { left: a, right: a });
+
+        let mut task = PredArena::new();
+        let mut roots = dp_history(&mut task, 7, 40, 6, |_, _| {});
+        let want: Vec<_> = roots.iter().map(|&r| task.collect_placements(r)).collect();
+        let task_recorded = (task.recorded_len(), task.recorded_bytes());
+        PredCollector::default().collect(&mut task, roots.iter_mut());
+        let main_recorded = (main.recorded_len(), main.recorded_bytes());
+
+        let remap = main.append_remapped(&task);
+        for (root, want) in roots.iter().zip(&want) {
+            assert_eq!(&main.collect_placements(remap.apply(*root)), want);
+        }
+        assert_backward(&main);
+        assert_eq!(main.len(), 2 + task.len());
+        assert_eq!(main.recorded_len(), main_recorded.0 + task_recorded.0);
+        assert_eq!(main.recorded_bytes(), main_recorded.1 + task_recorded.1);
+    }
+
+    /// An arena collected between every few nodes reports the recorded
+    /// totals of its uncollected twin, resolves the same placements, and
+    /// never holds more than the twin did.
+    #[test]
+    fn recorded_totals_survive_repeated_collections() {
+        for seed in 0..4 {
+            let mut twin = PredArena::new();
+            let twin_live = dp_history(&mut twin, seed, 200, 12, |_, _| {});
+            let mut arena = PredArena::new();
+            let mut collector = PredCollector::default();
+            let mut collections = 0;
+            let live = dp_history(&mut arena, seed, 200, 12, |arena, branches| {
+                if arena.len() > 40 {
+                    collector.collect(arena, branches.iter_mut().flatten());
+                    collections += 1;
+                }
+            });
+            assert!(collections > 10, "seed {seed}: {collections} collections");
+            assert_eq!(arena.recorded_len(), twin.len(), "seed {seed}");
+            assert_eq!(arena.recorded_bytes(), twin.bytes(), "seed {seed}");
+            assert!(arena.peak_bytes() < twin.peak_bytes(), "seed {seed}");
+            assert!(arena.peak_bytes() >= arena.bytes());
+            assert_eq!(twin.peak_bytes(), twin.bytes());
+            for (r, t) in live.iter().zip(&twin_live) {
+                assert_eq!(arena.collect_placements(*r), twin.collect_placements(*t));
+            }
+            assert_backward(&arena);
+            arena.clear();
+            assert_eq!((arena.recorded_len(), arena.peak_bytes()), (0, 0));
+        }
+    }
+
+    /// A collection is due past 2^16 entries, and after one past twice
+    /// its survivors when that is more.
+    #[test]
+    fn collection_is_due_past_the_floor_and_twice_the_survivors() {
+        let mut arena = PredArena::new();
+        let mut chain = PredRef::NONE;
+        for i in 0..COLLECT_FLOOR {
+            chain = arena.push(buffer(i / 64, i % 64, chain));
+        }
+        assert!(!arena.collection_due());
+        chain = arena.push(buffer(COLLECT_FLOOR, 0, chain));
+        assert!(arena.collection_due());
+
+        // The whole chain is live: every record survives.
+        let mut roots = [chain];
+        PredCollector::default().collect(&mut arena, roots.iter_mut());
+        assert_eq!(arena.len(), COLLECT_FLOOR + 1);
+        assert!(!arena.collection_due());
+        for i in 0..COLLECT_FLOOR + 2 {
+            arena.push(PredEntry::Merge {
+                left: roots[0],
+                right: PredRef::NONE,
+            });
+            assert_eq!(arena.collection_due(), i == COLLECT_FLOOR + 1, "push {i}");
+        }
     }
 }

@@ -16,7 +16,7 @@ use fastbuf_buflib::BufferLibrary;
 use fastbuf_rctree::delay::{DelayModel, ElmoreModel};
 use fastbuf_rctree::{NodeId, NodeKind, RoutingTree};
 
-use crate::arena::{PredArena, PredRef};
+use crate::arena::{PredArena, PredCollector, PredRef};
 use crate::buffering::{add_buffers, add_buffers_slab, Algorithm, Scratch};
 use crate::cache::{
     clone_list_pooled, store_snapshot, store_snapshot_view, CacheFingerprint, SubtreeCache,
@@ -120,6 +120,7 @@ impl std::fmt::Display for Kernel {
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
     arena: PredArena,
+    collector: PredCollector,
     scratch: Scratch,
     lists: Vec<Option<CandidateList>>,
     slab: CandidateSlab,
@@ -431,9 +432,6 @@ impl<'a> Solver<'a> {
             }
             None => {
                 ws_arena.clear();
-                if track {
-                    ws_arena.reserve_betas(tree.buffer_site_count(), lib.len());
-                }
                 (None, &mut *ws_arena)
             }
         };
@@ -601,8 +599,9 @@ impl<'a> Solver<'a> {
         } else {
             Vec::new()
         };
-        stats.arena_entries = arena.len();
-        stats.arena_bytes = arena.bytes();
+        stats.arena_entries = arena.recorded_len();
+        stats.arena_bytes = arena.recorded_bytes();
+        stats.arena_peak_bytes = arena.peak_bytes();
         stats.elapsed = start.elapsed();
 
         Solution {
@@ -638,22 +637,23 @@ impl<'a> Solver<'a> {
         let mut stats = SolveStats::default();
         let SolveWorkspace {
             arena: ws_arena,
+            collector,
             scratch,
             slab,
             slab_lists,
             ..
         } = workspace;
-        let (mut cache_state, arena) = match cache {
+        // Cached mode records into the cache's arena, which never collects:
+        // its snapshots reference nearly every record. A tracked scratch
+        // solve collects its own arena between nodes.
+        let (mut cache_state, arena, collector) = match cache {
             Some(c) => {
                 let (cached_lists, dirty, cache_arena) = c.parts_mut();
-                (Some((cached_lists, dirty)), cache_arena)
+                (Some((cached_lists, dirty)), cache_arena, None)
             }
             None => {
                 ws_arena.clear();
-                if track {
-                    ws_arena.reserve_betas(tree.buffer_site_count(), lib.len());
-                }
-                (None, &mut *ws_arena)
+                (None, &mut *ws_arena, track.then_some(collector))
             }
         };
         slab.reset();
@@ -691,6 +691,7 @@ impl<'a> Solver<'a> {
             slab,
             slab_lists,
             arena,
+            collector,
             scratch,
             &mut stats,
         );
@@ -773,8 +774,9 @@ impl<'a> Solver<'a> {
         } else {
             Vec::new()
         };
-        stats.arena_entries = arena.len();
-        stats.arena_bytes = arena.bytes();
+        stats.arena_entries = arena.recorded_len();
+        stats.arena_bytes = arena.recorded_bytes();
+        stats.arena_peak_bytes = stats.arena_peak_bytes.max(arena.peak_bytes());
         stats.slab_bytes_peak = stats.slab_bytes_peak.max(slab.peak_bytes());
         stats.elapsed = start.elapsed();
 
@@ -823,6 +825,10 @@ fn node_price(prices: Option<&[f64]>, node: NodeId) -> f64 {
 /// and every parallel subtree task execute — which is what makes the
 /// parallel mode trivially bit-identical: the same code runs the same
 /// per-node arithmetic regardless of which thread hosts it.
+///
+/// With a `collector`, the arena is collected between nodes once
+/// [`PredArena::collection_due`]: every live candidate list sits in `slab`
+/// then, so its allocated slots' `pred` lanes are the whole root set.
 #[allow(clippy::too_many_arguments)]
 fn slab_process_nodes(
     ctx: &SlabCtx<'_>,
@@ -833,6 +839,7 @@ fn slab_process_nodes(
     slab: &mut CandidateSlab,
     slab_lists: &mut [Option<SlabList>],
     arena: &mut PredArena,
+    mut collector: Option<&mut PredCollector>,
     scratch: &mut Scratch,
     stats: &mut SolveStats,
 ) {
@@ -917,6 +924,11 @@ fn slab_process_nodes(
             *recomputed += 1;
         }
         slab_lists[node.index()] = Some(list);
+        if let Some(collector) = collector.as_deref_mut() {
+            if arena.collection_due() {
+                collector.collect(arena, slab.pred_lanes_mut());
+            }
+        }
     }
 }
 
@@ -1021,6 +1033,7 @@ fn solve_subtrees_parallel(
                 // interior list is consumed by its parent and the task
                 // root's is taken below.
                 let mut slab = CandidateSlab::default();
+                let mut collector = PredCollector::default();
                 let mut scratch = Scratch::default();
                 let mut lists: Vec<Option<SlabList>> = vec![None; ctx.tree.node_count()];
                 while let Ok(ti) = rx.recv() {
@@ -1028,10 +1041,6 @@ fn solve_subtrees_parallel(
                     let (p, sz) = (pos[troot.index()], size[troot.index()]);
                     let range = &post[p + 1 - sz..=p];
                     let mut task_arena = PredArena::new();
-                    if ctx.track {
-                        let sites = range.iter().filter(|&&n| ctx.tree.is_buffer_site(n));
-                        task_arena.reserve_betas(sites.count(), ctx.lib.len());
-                    }
                     let mut task_stats = SolveStats::default();
                     slab.reset();
                     slab_process_nodes(
@@ -1043,11 +1052,19 @@ fn solve_subtrees_parallel(
                         &mut slab,
                         &mut lists,
                         &mut task_arena,
+                        ctx.track.then_some(&mut collector),
                         &mut scratch,
                         &mut task_stats,
                     );
+                    if ctx.track {
+                        // The task root's list is the only one left: keep
+                        // just what it reaches, so the join copies only
+                        // live records.
+                        collector.collect(&mut task_arena, slab.pred_lanes_mut());
+                    }
                     let handle = lists[troot.index()].take().expect("task root was computed");
                     task_stats.slab_bytes_peak = slab.peak_bytes();
+                    task_stats.arena_peak_bytes = task_arena.peak_bytes();
                     let list = slab.to_candidate_list(handle);
                     *results[ti].lock().expect("task slot lock") = Some(TaskResult {
                         list,

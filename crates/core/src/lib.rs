@@ -64,6 +64,7 @@ mod slab;
 mod slew;
 mod solution;
 mod stats;
+mod threads;
 
 pub use arena::{PredArena, PredEntry, PredRef};
 pub use buffering::Algorithm;
@@ -78,3 +79,4 @@ pub use merge::merge_branches;
 pub use skew::{SkewSolution, SkewSolver, WindowCandidate};
 pub use solution::{Placement, Solution, VerifyError};
 pub use stats::SolveStats;
+pub use threads::available_threads;

@@ -465,6 +465,7 @@ impl<'a> PolaritySolver<'a> {
             .count();
         stats.arena_entries = arena.len();
         stats.arena_bytes = arena.bytes();
+        stats.arena_peak_bytes = arena.peak_bytes();
         stats.slab_bytes_peak = slab.peak_bytes();
         stats.elapsed = start.elapsed();
         Ok(PolaritySolution {

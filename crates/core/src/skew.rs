@@ -741,6 +741,7 @@ impl<'a> SkewSolver<'a> {
         };
         stats.arena_entries = arena.len();
         stats.arena_bytes = arena.bytes();
+        stats.arena_peak_bytes = arena.peak_bytes();
         stats.elapsed = start.elapsed();
 
         let driver_delay = dk + dr * best.c;

@@ -355,6 +355,13 @@ impl CandidateSlab {
         self.peak = 0;
     }
 
+    /// The `pred` lane of every list, for a predecessor-arena collection
+    /// to use as its root set and rewrite in place. Free slots are empty,
+    /// so this yields exactly the references of the allocated lists.
+    pub(crate) fn pred_lanes_mut(&mut self) -> impl Iterator<Item = &mut PredRef> {
+        self.slots.iter_mut().flat_map(|slot| slot.pred.iter_mut())
+    }
+
     /// Peak bytes of live candidate columns since the last reset.
     pub(crate) fn peak_bytes(&self) -> usize {
         self.peak * BYTES_PER_CANDIDATE

@@ -63,12 +63,20 @@ pub struct SolveStats {
     pub max_list_len: usize,
     /// Candidate list length at the root.
     pub root_list_len: usize,
-    /// Entries recorded in the predecessor arena (0 when tracking is off).
+    /// Entries recorded in the predecessor arena (0 when tracking is off),
+    /// including those a collection later dropped.
     pub arena_entries: usize,
-    /// Bytes held by those entries at the end of the solve (block headers,
-    /// β records and merge pairs; spare capacity excluded — see
-    /// [`PredArena::bytes`](crate::PredArena::bytes)).
+    /// Bytes of those entries as recorded (block headers, β records and
+    /// merge pairs; spare capacity excluded — see
+    /// [`PredArena::bytes`](crate::PredArena::bytes)), including those a
+    /// collection later dropped.
     pub arena_bytes: usize,
+    /// Most bytes the predecessor arena held at once. Equals `arena_bytes`
+    /// when nothing was collected; tracked scratch solves collect dead
+    /// records between nodes, so on large nets it is far smaller. Under
+    /// intra-net parallelism this is the largest peak of any participating
+    /// arena (main or task), not their sum.
+    pub arena_peak_bytes: usize,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
 }
@@ -106,6 +114,7 @@ impl SolveStats {
         self.slab_candidates_scanned += shard.slab_candidates_scanned;
         self.slab_candidates_pruned += shard.slab_candidates_pruned;
         self.slab_bytes_peak = self.slab_bytes_peak.max(shard.slab_bytes_peak);
+        self.arena_peak_bytes = self.arena_peak_bytes.max(shard.arena_peak_bytes);
         self.parallel_subtrees += shard.parallel_subtrees;
         self.max_list_len = self.max_list_len.max(shard.max_list_len);
     }
@@ -115,7 +124,7 @@ impl fmt::Display for SolveStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ops: wire={} merge={} addbuf={} | addbuf work: scans={} hull_in={} walk={} betas={} | lists: max={} root={} | pruned={} slew_pruned={} arena={} arena_bytes={} | eco: recomputed={} reused={} | slab: scanned={} pruned={} peak_bytes={} par_subtrees={} | {:?}",
+            "ops: wire={} merge={} addbuf={} | addbuf work: scans={} hull_in={} walk={} betas={} | lists: max={} root={} | pruned={} slew_pruned={} arena={} arena_bytes={} arena_peak_bytes={} | eco: recomputed={} reused={} | slab: scanned={} pruned={} peak_bytes={} par_subtrees={} | {:?}",
             self.wire_ops,
             self.merge_ops,
             self.addbuffer_ops,
@@ -129,6 +138,7 @@ impl fmt::Display for SolveStats {
             self.slew_pruned,
             self.arena_entries,
             self.arena_bytes,
+            self.arena_peak_bytes,
             self.nodes_recomputed,
             self.nodes_reused,
             self.slab_candidates_scanned,
@@ -162,6 +172,25 @@ mod tests {
         assert!(s.contains("wire=0"));
         assert!(s.contains("max=0"));
         assert!(s.contains("arena_bytes=0"));
+        assert!(s.contains("arena_peak_bytes=0"));
+    }
+
+    #[test]
+    fn merge_shard_takes_the_largest_arena_peak() {
+        let mut total = SolveStats {
+            arena_peak_bytes: 300,
+            ..SolveStats::default()
+        };
+        total.merge_shard(&SolveStats {
+            arena_peak_bytes: 200,
+            ..SolveStats::default()
+        });
+        assert_eq!(total.arena_peak_bytes, 300);
+        total.merge_shard(&SolveStats {
+            arena_peak_bytes: 500,
+            ..SolveStats::default()
+        });
+        assert_eq!(total.arena_peak_bytes, 500);
     }
 
     #[test]

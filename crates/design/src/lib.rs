@@ -239,11 +239,7 @@ pub fn solve_design(
     let threads = options
         .threads
         .map(NonZeroUsize::get)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(fastbuf_core::available_threads)
         .max(1)
         .min(design.nets.len().max(1));
 

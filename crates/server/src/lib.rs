@@ -70,10 +70,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(2),
+            workers: fastbuf_core::available_threads().max(2),
             max_inflight: 64,
             max_designs: 8,
             default_deadline: None,

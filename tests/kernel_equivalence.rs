@@ -290,3 +290,64 @@ fn suite_nets_stay_bit_identical_across_kernels_and_workers() {
     );
     println!("ran {comparisons} slab-vs-reference comparisons");
 }
+
+/// The paper regime (486 sinks, ≈ 8k buffer positions, b = 64) is the
+/// size at which tracked scratch solves collect their predecessor arenas
+/// between nodes — and intra-net tasks collect theirs before the join —
+/// while the reference kernel never collects. Both must still agree bit
+/// for bit, placements included, at 1, 2 and 4 workers, and report the
+/// same recorded entries and bytes; `arena_peak_bytes` below
+/// `arena_bytes` proves a collection ran. The second case adds
+/// `Subset` sites and load-limited types, so β blocks have gaps.
+#[test]
+fn collected_arenas_stay_bit_identical_on_paper_nets() {
+    let b = 64;
+    let tree = fastbuf::netgen::RandomNetSpec {
+        seed: 1,
+        ..fastbuf::netgen::RandomNetSpec::paper(486)
+    }
+    .with_target_positions(486 * 17)
+    .build();
+    let cases = [
+        (
+            "paper",
+            tree.clone(),
+            BufferLibrary::paper_synthetic(b).expect("b > 0"),
+        ),
+        (
+            "subset + max load",
+            with_subset_sites(tree, b, 29),
+            load_limited_library(b, 3, 60.0),
+        ),
+    ];
+    for (name, tree, lib) in &cases {
+        let reference = Solver::new(tree, lib)
+            .with_options(options(Algorithm::LiShi, None, Kernel::Reference, 1))
+            .solve();
+        assert_eq!(
+            reference.stats.arena_peak_bytes, reference.stats.arena_bytes,
+            "{name}: the reference kernel never collects"
+        );
+        for workers in [1usize, 2, 4] {
+            let slab = Solver::new(tree, lib)
+                .with_options(options(Algorithm::LiShi, None, Kernel::Slab, workers))
+                .solve();
+            let context = format!("({name}, slab@{workers})");
+            assert_identical(&slab, &reference, &context);
+            assert_eq!(
+                slab.stats.arena_entries, reference.stats.arena_entries,
+                "{context}"
+            );
+            assert_eq!(
+                slab.stats.arena_bytes, reference.stats.arena_bytes,
+                "{context}"
+            );
+            assert!(
+                slab.stats.arena_peak_bytes < slab.stats.arena_bytes,
+                "{context}: peak {} of {} recorded bytes — no collection ran",
+                slab.stats.arena_peak_bytes,
+                slab.stats.arena_bytes
+            );
+        }
+    }
+}
