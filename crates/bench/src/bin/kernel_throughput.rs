@@ -13,7 +13,10 @@
 //! * `slab@2`, `slab@4` — the slab kernel with 2 and 4 intra-net
 //!   workers solving sibling subtrees concurrently (bit-identical
 //!   results at every count; on a 1-thread machine these rows record
-//!   the scheduling overhead honestly).
+//!   the scheduling overhead honestly);
+//! * `slab@2+tracked` — `slab@2` with predecessor tracking on: what a
+//!   default single-scenario `SolveRequest` runs on a large net of a
+//!   2-thread machine.
 //!
 //! Results go to `BENCH_kernel.json` (current directory) together with
 //! `hw_threads` so the scaling rows are self-describing.
@@ -155,8 +158,9 @@ struct Config {
 /// Per repeat each config records wall time and, when the OS exposes
 /// per-thread on-CPU accounting, the solving thread's on-CPU time (immune
 /// to preemption, though not to frequency drift). With more than one
-/// intra-net worker the solving thread blocks while workers run, so only
-/// wall time is meaningful and the on-CPU reading is skipped.
+/// intra-net worker the solve runs on several threads, of which the
+/// solving thread is only one, so only wall time is meaningful and the
+/// on-CPU reading is skipped.
 fn time_configs(
     nets: &[RoutingTree],
     lib: &BufferLibrary,
@@ -240,6 +244,12 @@ fn main() {
             kernel: Kernel::Slab,
             workers: 2,
             tracked: false,
+        },
+        Config {
+            name: "slab@2+tracked",
+            kernel: Kernel::Slab,
+            workers: 2,
+            tracked: true,
         },
         Config {
             name: "slab@4",

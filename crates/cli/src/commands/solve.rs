@@ -35,8 +35,10 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
     let algo: Algorithm = flags.value("algo").unwrap_or("lishi").parse()?;
     let model = load_model(&flags)?;
     let slew_limit = load_slew_limit(&flags)?;
+    // Without the flag the request's own default applies: a large
+    // single-corner solve takes the threads the corner leaves idle.
     let intra_workers = match flags.value("intra-workers") {
-        None => 1,
+        None => None,
         Some(v) => {
             let n: usize = v
                 .parse()
@@ -44,7 +46,7 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
             if n == 0 {
                 return Err("--intra-workers must be at least 1".into());
             }
-            n
+            Some(n)
         }
     };
 
@@ -100,11 +102,11 @@ pub(super) fn solve(argv: &[String]) -> Result<(), CliError> {
     }
 
     let unbuffered = elmore::evaluate_with(&tree, lib, &[], &*model).map_err(|e| e.to_string())?;
-    let outcome = session
-        .request(&tree)
-        .scenarios(scenarios)
-        .intra_net_workers(intra_workers)
-        .solve()?;
+    let mut request = session.request(&tree).scenarios(scenarios);
+    if let Some(n) = intra_workers {
+        request = request.intra_net_workers(n);
+    }
+    let outcome = request.solve()?;
 
     if !flags.switch("no-verify") {
         // Each corner is re-measured under its own model and derate.

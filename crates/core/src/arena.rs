@@ -189,7 +189,13 @@ impl PredRemap {
 
 /// Records an arena holds before its first collection is due: nets that
 /// record fewer (every served and batch net) never collect.
-const COLLECT_FLOOR: usize = 1 << 16;
+pub(crate) const COLLECT_FLOOR: usize = 1 << 16;
+
+/// [`COLLECT_FLOOR`] of an intra-net task's arena. Each extra worker keeps
+/// one such arena warm, so this floor bounds what a worker holds; a task's
+/// lists reach few records, so collecting four times as often costs no
+/// measurable time.
+pub(crate) const TASK_COLLECT_FLOOR: usize = 1 << 14;
 
 /// Totals as of the last collection since [`PredArena::clear`], so the
 /// recorded counts survive collections: what was recorded up to it, plus
@@ -324,12 +330,12 @@ impl PredArena {
         self.collected = Collected::default();
     }
 
-    /// `true` once the arena holds more than max(2^16, 2 × the survivors
-    /// of its last collection) entries: the point where a collection
-    /// frees at least half of what it scans.
+    /// `true` once the arena holds more than max(`floor`, 2 × the
+    /// survivors of its last collection) entries: the point where a
+    /// collection frees at least half of what it scans.
     #[inline]
-    pub(crate) fn collection_due(&self) -> bool {
-        self.len() > COLLECT_FLOOR.max(2 * self.collected.kept)
+    pub(crate) fn collection_due(&self, floor: usize) -> bool {
+        self.len() > floor.max(2 * self.collected.kept)
     }
 
     /// The node of β record `index`: that of the last block starting at or
@@ -977,21 +983,41 @@ mod tests {
         for i in 0..COLLECT_FLOOR {
             chain = arena.push(buffer(i / 64, i % 64, chain));
         }
-        assert!(!arena.collection_due());
+        assert!(!arena.collection_due(COLLECT_FLOOR));
         chain = arena.push(buffer(COLLECT_FLOOR, 0, chain));
-        assert!(arena.collection_due());
+        assert!(arena.collection_due(COLLECT_FLOOR));
 
         // The whole chain is live: every record survives.
         let mut roots = [chain];
         PredCollector::default().collect(&mut arena, roots.iter_mut());
         assert_eq!(arena.len(), COLLECT_FLOOR + 1);
-        assert!(!arena.collection_due());
+        assert!(!arena.collection_due(COLLECT_FLOOR));
         for i in 0..COLLECT_FLOOR + 2 {
             arena.push(PredEntry::Merge {
                 left: roots[0],
                 right: PredRef::NONE,
             });
-            assert_eq!(arena.collection_due(), i == COLLECT_FLOOR + 1, "push {i}");
+            assert_eq!(
+                arena.collection_due(COLLECT_FLOOR),
+                i == COLLECT_FLOOR + 1,
+                "push {i}"
+            );
         }
+    }
+
+    /// A task arena's lower floor triggers sooner, then the same 2× rule.
+    #[test]
+    fn task_floor_is_due_sooner() {
+        let mut arena = PredArena::new();
+        let mut chain = PredRef::NONE;
+        for i in 0..=TASK_COLLECT_FLOOR {
+            assert!(!arena.collection_due(TASK_COLLECT_FLOOR), "push {i}");
+            chain = arena.push(buffer(i / 64, i % 64, chain));
+        }
+        assert!(arena.collection_due(TASK_COLLECT_FLOOR));
+        assert!(!arena.collection_due(COLLECT_FLOOR));
+        let mut roots = [chain];
+        PredCollector::default().collect(&mut arena, roots.iter_mut());
+        assert!(!arena.collection_due(TASK_COLLECT_FLOOR));
     }
 }

@@ -279,3 +279,81 @@ fn request_layer_is_panic_free_on_bad_input() {
     let boxed: Box<dyn std::error::Error> = Box::new(err);
     assert!(!boxed.to_string().is_empty());
 }
+
+/// The paper regime: 486 sinks, ≈ 8k positions (seed 1).
+fn paper_net() -> RoutingTree {
+    fastbuf::netgen::RandomNetSpec {
+        seed: 1,
+        ..fastbuf::netgen::RandomNetSpec::paper(486)
+    }
+    .with_target_positions(486 * 17)
+    .build()
+}
+
+fn assert_same_solution(got: &Solution, want: &Solution, context: &str) {
+    assert_eq!(
+        got.slack.value().to_bits(),
+        want.slack.value().to_bits(),
+        "{context}"
+    );
+    assert_eq!(got.placements, want.placements, "{context}");
+    assert_eq!(
+        got.stats.arena_entries, want.stats.arena_entries,
+        "{context}"
+    );
+    assert_eq!(got.stats.arena_bytes, want.stats.arena_bytes, "{context}");
+}
+
+/// A default single-scenario request on a large net lends its idle
+/// threads to the net's own subtrees, and stays bit-identical to the same
+/// request pinned to one thread.
+#[test]
+fn default_request_solves_large_nets_on_idle_threads() {
+    let session = Session::new(BufferLibrary::paper_synthetic(64).unwrap());
+    let tree = paper_net();
+    let parallel = session.request(&tree).solve().unwrap();
+    let sequential = session.request(&tree).workers(1).solve().unwrap();
+    let (parallel, sequential) = (parallel.solution().unwrap(), sequential.solution().unwrap());
+    if fastbuf_core::available_threads() > 1 {
+        assert!(
+            parallel.stats.parallel_subtrees > 0,
+            "a default request on {} nodes should fork subtrees",
+            tree.node_count()
+        );
+    }
+    assert_eq!(sequential.stats.parallel_subtrees, 0);
+    assert_same_solution(parallel, sequential, "default vs workers(1)");
+    parallel.verify(&tree, session.library()).unwrap();
+}
+
+/// Setting either worker count, or a net below the break-even size, keeps
+/// a request on its calling thread.
+#[test]
+fn pinned_and_small_requests_stay_sequential() {
+    let session = Session::new(BufferLibrary::paper_synthetic(64).unwrap());
+    let large = paper_net();
+    let small = fastbuf::netgen::RandomNetSpec {
+        seed: 1,
+        ..fastbuf::netgen::RandomNetSpec::paper(24)
+    }
+    .with_target_positions(24 * 17)
+    .build();
+    assert!(small.node_count() < 4000, "{} nodes", small.node_count());
+    let subtrees = |request: fastbuf::api::SolveRequest<'_>| {
+        request
+            .solve()
+            .unwrap()
+            .solution()
+            .unwrap()
+            .stats
+            .parallel_subtrees
+    };
+    assert_eq!(subtrees(session.request(&large).workers(1)), 0);
+    // Any explicit scenario cap turns the idle-thread rule off.
+    assert_eq!(subtrees(session.request(&large).workers(2)), 0);
+    assert_eq!(subtrees(session.request(&large).intra_net_workers(1)), 0);
+    assert_eq!(subtrees(session.request(&small)), 0);
+    // The small net is large enough to fork when asked: the zero above
+    // is the break-even rule, not a net that cannot be partitioned.
+    assert!(subtrees(session.request(&small).intra_net_workers(2)) > 0);
+}
